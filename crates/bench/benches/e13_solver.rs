@@ -1,5 +1,6 @@
 //! E13: legacy MiniSat-lineage CDCL engine versus the modern engine
-//! (recursive clause minimization, tiered learnt DB, adaptive restarts)
+//! (recursive clause minimization, tiered learnt DB, adaptive restarts,
+//! chronological backtracking)
 //! on the full portfolio scenario matrix. Each size builds one shared
 //! artifact plus **two engine-pinned prefixes** — every cell forks both,
 //! so the only variable between a cell's two runs is the solver engine.
@@ -26,10 +27,9 @@ fn bench(c: &mut Criterion) {
     // counterexample search) and fast on secure cells (the deep induction
     // windows that dominate wall clock). The smoke slice keeps one of each
     // — the secure cell produces the window ≥ 2 checks the trend gate
-    // measures, so a smoke-regenerated record must still clear the floor:
-    // hwpe_memory/patched at both sizes carries the widest deep-speedup
-    // margin of the matrix (the 8-word dma_timer/patched cell hovers near
-    // the floor and would make a smoke record flaky).
+    // measures, so a smoke-regenerated record must still clear the floor,
+    // which hwpe_memory/patched does at both sizes (2.1x and 3.1x deep in
+    // the full record).
     let matrix = portfolio::scenario_matrix();
     let seed_spec = matrix[0].spec.clone();
     let smoke_matrix = [matrix[0].clone(), matrix[3].clone()];
@@ -62,7 +62,7 @@ fn bench(c: &mut Criterion) {
             println!(
                 "[e13] {:>22} @ {:>2} words: legacy {:?} vs modern {:?} ({:.2}x cell, \
                  {:.2}x deep), conflicts {} -> {}, minimized {}, promoted {}, \
-                 blocked {}, equivalent={}",
+                 blocked {}, chrono {}, equivalent={}",
                 cmp.scenario,
                 words,
                 cmp.legacy.runtime,
@@ -74,6 +74,7 @@ fn bench(c: &mut Criterion) {
                 cmp.minimized_lits,
                 cmp.tier_promotions,
                 cmp.restarts_blocked,
+                cmp.chrono_backtracks,
                 cmp.equivalent,
             );
             assert!(

@@ -645,10 +645,11 @@ pub fn e8_lanes_comparison(trials: u64) -> E8LanesComparison {
 
 /// E13 — head-to-head of one portfolio cell solved by the legacy
 /// MiniSat-lineage CDCL engine versus the modern engine (recursive
-/// minimization, tiered DB, adaptive restarts). Both runs fork
-/// engine-pinned twins of the same prefix, so the *only* variable is the
-/// solver engine. The engine may change the search route, so
-/// `equivalent` attests verdict agreement, not trajectory identity.
+/// minimization, tiered DB, adaptive restarts, chronological
+/// backtracking). Both runs fork engine-pinned twins of the same prefix,
+/// so the *only* variable is the solver engine. The engine may change the
+/// search route, so `equivalent` attests verdict agreement, not
+/// trajectory identity.
 #[derive(Clone, Debug)]
 pub struct SolverCellComparison {
     /// Scenario label of the cell.
@@ -674,6 +675,9 @@ pub struct SolverCellComparison {
     pub tier_promotions: u64,
     /// Modern-run adaptive restarts postponed by the trail-size block.
     pub restarts_blocked: u64,
+    /// Modern-run backjumps taken chronologically (longer than
+    /// [`ssc_sat::CHRONO_LEVELS`] levels).
+    pub chrono_backtracks: u64,
     /// Whether both engines reached the same verdict kind. Must be `true`:
     /// heuristics choose the route, never the destination.
     pub equivalent: bool,
@@ -733,6 +737,7 @@ pub fn compare_solver_cell(
         minimized_lits: sum(&modern, |it| it.solver.minimized_lits),
         tier_promotions: sum(&modern, |it| it.solver.tier_promotions),
         restarts_blocked: sum(&modern, |it| it.solver.restarts_blocked),
+        chrono_backtracks: sum(&modern, |it| it.solver.chrono_backtracks),
         legacy: legacy.result,
         modern: modern.result,
         equivalent,

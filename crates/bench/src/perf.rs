@@ -357,6 +357,7 @@ fn iteration(it: &IterationStat) -> Json {
         ("minimized_lits", s.minimized_lits.into()),
         ("tier_promotions", s.tier_promotions.into()),
         ("restarts_blocked", s.restarts_blocked.into()),
+        ("chrono_backtracks", s.chrono_backtracks.into()),
         ("goal_disjuncts", it.goal_disjuncts.into()),
     ])
 }
@@ -450,6 +451,7 @@ fn cell(c: &SolverCellComparison) -> Json {
         ("minimized_lits", c.minimized_lits.into()),
         ("tier_promotions", c.tier_promotions.into()),
         ("restarts_blocked", c.restarts_blocked.into()),
+        ("chrono_backtracks", c.chrono_backtracks.into()),
         ("equivalent", c.equivalent.into()),
         ("iterations", iterations(&c.modern.verdict)),
     ])
@@ -575,6 +577,7 @@ pub fn e13(cells: &[SolverCellComparison]) -> Json {
         ("minimized_lits", total(|c| c.minimized_lits).into()),
         ("tier_promotions", total(|c| c.tier_promotions).into()),
         ("restarts_blocked", total(|c| c.restarts_blocked).into()),
+        ("chrono_backtracks", total(|c| c.chrono_backtracks).into()),
         ("equivalent", cells.iter().all(|c| c.equivalent).into()),
         ("cells", Json::Arr(cells.iter().map(cell).collect())),
     ])
@@ -768,6 +771,7 @@ mod tests {
             minimized_lits: 3,
             tier_promotions: 2,
             restarts_blocked: 1,
+            chrono_backtracks: 4,
             equivalent: true,
         };
         let e13 = e13(&[cell]);
@@ -791,6 +795,7 @@ mod tests {
         assert_eq!(num(&e10, "wall_speedup"), Some(2.0));
         assert_eq!(num(&e13, "deep_speedup"), Some(2.0));
         assert_eq!(num(&e13, "deep_legacy_us"), Some(40_000.0));
+        assert_eq!(num(&e13, "chrono_backtracks"), Some(4.0));
         assert_eq!(e13.get("equivalent").and_then(Json::bool), Some(true));
     }
 }

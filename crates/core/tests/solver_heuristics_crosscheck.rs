@@ -1,11 +1,12 @@
 //! Soundness crosscheck for the modern CDCL engine (`SSC_SOLVER_MODERN`):
 //! on every scenario configuration and at two SoC sizes, running Alg. 2
 //! with the legacy MiniSat-lineage engine and with the modern engine
-//! (recursive minimization, tiered DB, adaptive restarts) must reach the
-//! **same verdict**. The engine may legitimately change the route —
-//! different counterexamples, different refinement orders, different
-//! solver effort — but never the destination; a verdict flip here is a
-//! solver soundness bug, not noise.
+//! (recursive minimization, tiered DB, adaptive restarts, chronological
+//! backtracking) must reach the **same verdict**, and on patched cells the
+//! same final |S|: the greatest inductive subset is unique. The engine may
+//! legitimately change the route — different counterexamples, different
+//! refinement orders, different solver effort — but never the
+//! destination; a verdict flip here is a solver soundness bug, not noise.
 //!
 //! The second half pins the resource-governance paths under the new
 //! machinery: budget interrupts and the `ExhaustBudget`/`Cancel` chaos
@@ -59,6 +60,7 @@ const CHAOS_TAG: u64 = 0xE13C;
 
 #[test]
 fn verdicts_identical_with_modern_heuristics_on_and_off() {
+    let mut chrono_backtracks = 0u64;
     for words in [8u32, 12] {
         let soc = Soc::build(SocConfig::verification_sized(words, words));
         let seed = UpecSpec::soc_vulnerable();
@@ -106,13 +108,29 @@ fn verdicts_identical_with_modern_heuristics_on_and_off() {
             );
             for it in v_legacy.iterations() {
                 assert_eq!(
-                    it.solver.tier_promotions + it.solver.restarts_blocked,
+                    it.solver.tier_promotions
+                        + it.solver.restarts_blocked
+                        + it.solver.chrono_backtracks,
                     0,
                     "{name}@{words}: legacy run reported modern-only counters"
                 );
             }
+            chrono_backtracks +=
+                v_modern.iterations().iter().map(|it| it.solver.chrono_backtracks).sum::<u64>();
+            if !leaky {
+                match (&v_legacy, &v_modern) {
+                    (Verdict::Secure(l), Verdict::Secure(m)) => assert_eq!(
+                        l.final_set_size, m.final_set_size,
+                        "{name}@{words}: the engines found different inductive sets"
+                    ),
+                    _ => panic!("{name}@{words}: legacy={v_legacy} modern={v_modern}"),
+                }
+            }
         }
     }
+    // The legacy-vs-modern oracle covers chronological backtracking only if
+    // the modern side actually took some.
+    assert!(chrono_backtracks > 0, "no chronological backtrack over the whole matrix");
 }
 
 #[test]

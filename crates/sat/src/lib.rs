@@ -12,20 +12,43 @@
 //!   with trail-size blocking,
 //! - **tiered (core/mid/local) learnt-database reduction** with LBD-driven
 //!   promotion and arena GC,
+//! - **chronological backtracking** past [`CHRONO_LEVELS`] levels (Nadel &
+//!   Ryvchin, SAT 2018; Möhle & Biere, SAT 2019): a long backjump
+//!   backtracks one level and asserts out of trail order, keeping the
+//!   trail above the jump target,
 //! - incremental solving under assumptions (the workhorse of the iterative
 //!   UPEC-SSC procedure, which re-solves with shrinking state sets).
 //!
 //! # CDCL engines
 //!
 //! A solver runs one of two fixed engines ([`Heuristics`]). The modern
-//! engine has the three refinements above always on. The legacy engine is
+//! engine has the four refinements above always on. The legacy engine is
 //! the MiniSat-lineage baseline — one-level minimization, single-sweep
-//! half-deletion of learnts and Luby restarts — kept as the reference the
-//! crosschecks compare against. Every [`Solver::new`] reads the engine
-//! from the environment once; tests and benches pin one via
-//! [`Solver::set_heuristics`]. A malformed value panics naming the
-//! variable and value — a mistyped CI matrix entry must not silently
-//! measure the wrong engine:
+//! half-deletion of learnts, Luby restarts and full backjumps — kept as
+//! the reference the crosschecks compare against.
+//!
+//! Chronological backtracking leaves the trail out of level order, and the
+//! modern engine keeps three invariants that make that sound:
+//!
+//! - **assignment levels**: a propagated literal takes the highest level
+//!   among its reason's other literals, an asserting literal the level of
+//!   its learnt clause's second literal, and a unit learnt level 0;
+//! - **backtracking**: backtracking to level `t` unassigns only the
+//!   literals above `t` and compacts the kept ones stably, so the trail
+//!   stays a topological order (assumption cores walk it backwards), and
+//!   re-queues the kept ones for propagation;
+//! - **conflicts**: a conflict is handled at the level its clause is
+//!   falsified at, with the clause's two highest-level literals watched; a
+//!   single literal on that level is a missed lower implication and is
+//!   re-implied without learning.
+//!
+//! The legacy trail stays in level order, so its search is the MiniSat
+//! baseline step for step.
+//!
+//! Every [`Solver::new`] reads the engine from the environment once;
+//! tests and benches pin one via [`Solver::set_heuristics`]. A malformed
+//! value panics naming the variable and value — a mistyped CI matrix
+//! entry must not silently measure the wrong engine:
 //!
 //! | Variable | Effect | Unset |
 //! |---|---|---|
@@ -86,7 +109,7 @@ mod solver;
 
 pub use budget::{Budget, CancelToken, Interrupt, InterruptCause};
 pub use lit::{LBool, Lit, Var};
-pub use solver::{Heuristics, SolveResult, Solver, SolverStats, SOLVER_MODERN_ENV};
+pub use solver::{Heuristics, SolveResult, Solver, SolverStats, CHRONO_LEVELS, SOLVER_MODERN_ENV};
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // hole/pigeon indices are semantic

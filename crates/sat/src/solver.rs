@@ -4,7 +4,7 @@
 //! propagation, first-UIP conflict analysis, exponential VSIDS decision
 //! heuristic with phase saving. It runs one of two fixed engines, chosen
 //! per solver by [`Heuristics`] (`SSC_SOLVER_MODERN`). The modern engine
-//! (the default) adds three refinements to the MiniSat-lineage baseline:
+//! (the default) adds four refinements to the MiniSat-lineage baseline:
 //!
 //! - **recursive clause minimization** (MiniSat's `ccmin-mode=deep`): a
 //!   DFS over reason clauses with an abstraction-level filter, replacing
@@ -17,7 +17,27 @@
 //!   restart when recent conflicts degrade, postponed ("blocked") when
 //!   the trail has grown far past its average — a SAT-leaning probe is
 //!   making assignment progress a restart would throw away — replacing
-//!   blind Luby scheduling.
+//!   blind Luby scheduling;
+//! - **chronological backtracking** (Nadel & Ryvchin, SAT 2018; Möhle &
+//!   Biere, SAT 2019, CaDiCaL's design): a learnt clause that would
+//!   backjump more than [`CHRONO_LEVELS`] levels backtracks only to the
+//!   conflict level − 1 and assigns its asserting literal at its true,
+//!   lower level, so the long trail above the jump target survives
+//!   instead of being re-decided and re-propagated. The trail is then no
+//!   longer sorted by level, and three invariants keep the solver sound:
+//!   - *assignment levels*: a propagated literal takes the highest level
+//!     among its reason's other literals (a reason scan is paid only when
+//!     the propagating literal sits below the decision level), and an
+//!     asserting literal the level of its learnt clause's second literal;
+//!   - *backtracking*: `cancel_until(t)` unassigns only the literals above
+//!     level `t`, compacts the kept ones stably (the trail stays a
+//!     topological order, which `analyze_final`'s backward walk and every
+//!     assumption core rely on) and lowers `qhead` to the first kept
+//!     position, so kept literals are propagated again;
+//!   - *conflicts*: a conflict is analysed at the level its clause is
+//!     falsified at, with its two highest-level literals moved into the
+//!     watched positions first; a conflict with a single literal on that
+//!     level is a missed lower implication, re-implied without learning.
 //!
 //! The legacy engine stays reachable as the crosschecks' reference
 //! (`SSC_SOLVER_MODERN=0` pins it, and CI runs the full suite that way).
@@ -224,6 +244,10 @@ pub struct SolverStats {
     /// far past its running average (the "blocking" half of glucose-style
     /// restarts; zero under Luby scheduling).
     pub restarts_blocked: u64,
+    /// Number of learnt clauses whose backjump spanned more than
+    /// [`CHRONO_LEVELS`] levels and so backtracked chronologically, to the
+    /// conflict level − 1 (modern engine only — zero on the legacy path).
+    pub chrono_backtracks: u64,
     /// Always 0: the solver has no vivification pass. Kept only because
     /// `perfbench/src/metrics.rs` reads it.
     pub vivified_clauses: u64,
@@ -252,6 +276,7 @@ impl SolverStats {
             minimized_lits: self.minimized_lits - earlier.minimized_lits,
             tier_promotions: self.tier_promotions - earlier.tier_promotions,
             restarts_blocked: self.restarts_blocked - earlier.restarts_blocked,
+            chrono_backtracks: self.chrono_backtracks - earlier.chrono_backtracks,
             vivified_clauses: self.vivified_clauses - earlier.vivified_clauses,
             subsumed_clauses: self.subsumed_clauses - earlier.subsumed_clauses,
         }
@@ -277,12 +302,16 @@ pub const SOLVER_MODERN_ENV: &str = "SSC_SOLVER_MODERN";
 /// equivalence tests can pin either one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Heuristics {
-    /// Recursive clause minimization, the tiered learnt database and
-    /// adaptive restarts, all on (the default).
+    /// Recursive clause minimization, the tiered learnt database,
+    /// adaptive restarts and chronological backtracking past
+    /// [`CHRONO_LEVELS`], all on (the default). Chronological backtracking
+    /// keeps three invariants (see the module docs): assignment levels
+    /// taken from the reason, level-filtered stable trail compaction on
+    /// backtrack, and conflicts analysed at their own level.
     #[default]
     Modern,
     /// The MiniSat-lineage baseline: one-level minimization, single-sweep
-    /// half-deletion of learnts and Luby restarts.
+    /// half-deletion of learnts, Luby restarts and full backjumps.
     Legacy,
 }
 
@@ -384,6 +413,12 @@ pub struct Solver {
 
 const VAR_DECAY: f64 = 0.95;
 const RESTART_BASE: u64 = 128;
+
+/// Longest backjump the modern engine takes in full: a learnt clause that
+/// would jump back more levels backtracks chronologically instead, to the
+/// conflict level − 1. 100 is the literature default (Nadel & Ryvchin,
+/// SAT 2018; CaDiCaL's `chronolevels`).
+pub const CHRONO_LEVELS: u32 = 100;
 
 /// Adaptive-restart tuning (glucose lineage): windows of the fast/slow
 /// LBD averages and the conflict-time trail average, the degradation
@@ -585,7 +620,7 @@ impl Solver {
                 false
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], CREF_UNDEF);
+                self.unchecked_enqueue(simplified[0], 0, CREF_UNDEF);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
@@ -615,13 +650,23 @@ impl Solver {
         self.trail_lim.push(self.trail.len());
     }
 
-    fn unchecked_enqueue(&mut self, l: Lit, reason: CRef) {
+    /// Assigns `l` at `level`, which is below the decision level when the
+    /// literal is implied out of trail order (chronological backtracking).
+    fn unchecked_enqueue(&mut self, l: Lit, level: u32, reason: CRef) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
+        debug_assert!(level <= self.decision_level());
         let v = l.var().index();
         self.assigns[v] = LBool::from(!l.is_neg());
-        self.level[v] = self.decision_level();
+        self.level[v] = level;
         self.reason[v] = reason;
         self.trail.push(l);
+    }
+
+    /// The highest level among the literals of `c` after position 0: the
+    /// level its position-0 literal is implied at.
+    fn reason_level(&self, c: CRef) -> u32 {
+        let level = |k| self.level[self.db.lit(c, k).var().index()];
+        (1..self.db.len(c)).map(level).max().unwrap_or(0)
     }
 
     fn propagate(&mut self) -> Option<CRef> {
@@ -639,12 +684,19 @@ impl Solver {
                 self.poll_interrupt();
             }
             if self.interrupt.is_some() {
-                // Stop at a consistent point between trail literals: the
-                // remaining queue is simply left unpropagated and the solve
-                // loop converts the pending interrupt into `Unknown`.
-                self.qhead = self.trail.len();
+                // Stop at a consistent point between trail literals: `p`
+                // and the rest of the queue stay queued (a level-0 queue
+                // survives the solve's final `cancel_until(0)`, so the next
+                // propagation picks it up) and the solve loop converts the
+                // pending interrupt into `Unknown`.
+                self.qhead -= 1;
                 return None;
             }
+            // A literal at the decision level implies at the decision
+            // level; one below it (kept across a chronological backtrack)
+            // implies at its reason's highest level.
+            let dl = self.decision_level();
+            let in_order = self.level[p.var().index()] == dl;
 
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut j = 0;
@@ -684,16 +736,17 @@ impl Solver {
                 ws[j] = Watcher { cref, blocker: first };
                 j += 1;
                 if self.value_lit(first) == LBool::False {
-                    // Conflict: flush the propagation queue.
+                    // Conflict: `qhead` stays put, since the conflict's own
+                    // backtrack decides which literals are propagated again.
                     conflict = Some(cref);
-                    self.qhead = self.trail.len();
                     while i < ws.len() {
                         ws[j] = ws[i];
                         j += 1;
                         i += 1;
                     }
                 } else {
-                    self.unchecked_enqueue(first, cref);
+                    let level = if in_order { dl } else { self.reason_level(cref) };
+                    self.unchecked_enqueue(first, level, cref);
                 }
             }
             ws.truncate(j);
@@ -728,22 +781,45 @@ impl Solver {
         SolveResult::Unknown(Interrupt { cause, stats: self.stats.delta_since(entry) })
     }
 
+    /// Backtracks to decision level `target`: unassigns every literal above
+    /// it (in reverse trail order) and keeps the ones at or below it that
+    /// chronological backtracking left above the level's trail segment,
+    /// compacted stably so the trail stays a topological order. `qhead`
+    /// drops to the first kept position, so kept literals propagate again.
     fn cancel_until(&mut self, target: u32) {
         if self.decision_level() <= target {
             return;
         }
         let lim = self.trail_lim[target as usize];
+        let mut kept = 0;
         for idx in (lim..self.trail.len()).rev() {
             let l = self.trail[idx];
             let v = l.var();
+            if self.level[v.index()] <= target {
+                kept += 1;
+                continue;
+            }
             self.assigns[v.index()] = LBool::Undef;
             self.polarity[v.index()] = !l.is_neg();
             self.reason[v.index()] = CREF_UNDEF;
             self.heap.reinsert(v);
         }
-        self.trail.truncate(lim);
+        if kept > 0 {
+            let mut j = lim;
+            for i in lim..self.trail.len() {
+                let l = self.trail[i];
+                if self.assigns[l.var().index()] != LBool::Undef {
+                    debug_assert!(self.level[l.var().index()] <= target);
+                    self.trail[j] = l;
+                    j += 1;
+                }
+            }
+            debug_assert_eq!(j, lim + kept);
+        }
+        self.trail.truncate(lim + kept);
         self.trail_lim.truncate(target as usize);
-        self.qhead = self.trail.len();
+        self.qhead = self.qhead.min(lim);
+        debug_assert!(self.qhead <= self.trail.len());
     }
 
     fn var_bump(&mut self, v: Var) {
@@ -765,11 +841,16 @@ impl Solver {
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first) and the backtrack level.
+    ///
+    /// Runs at the conflict's own level (the solve loop backtracks there
+    /// first), where a chronological backtrack may have left lower-level
+    /// literals above that level's first literal on the trail.
     fn analyze(&mut self, mut confl: CRef) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the UIP
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
+        let dl = self.decision_level();
 
         loop {
             debug_assert_ne!(confl, CREF_UNDEF);
@@ -791,6 +872,9 @@ impl Solver {
                     }
                 }
             }
+            if let Some(pl) = p {
+                self.debug_assert_reason(confl, pl);
+            }
             let start = usize::from(p.is_some());
             for k in start..self.db.len(confl) {
                 let q = self.db.lit(confl, k);
@@ -798,17 +882,19 @@ impl Solver {
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
                     self.var_bump(v);
-                    if self.level[v.index()] >= self.decision_level() {
+                    if self.level[v.index()] >= dl {
                         counter += 1;
                     } else {
                         learnt.push(q);
                     }
                 }
             }
-            // Select next literal to expand.
+            // Select the next conflict-level literal to expand; seen
+            // lower-level literals can sit above it on the trail.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var().index()] {
+                let v = self.trail[index].var().index();
+                if self.seen[v] && self.level[v] == dl {
                     break;
                 }
             }
@@ -878,6 +964,63 @@ impl Solver {
         (minimized, bt)
     }
 
+    /// Debug check of the reason-clause invariant analysis relies on: the
+    /// literal `implied` sits at position 0 of its reason `r`, at the
+    /// highest level among the clause's other literals.
+    fn debug_assert_reason(&self, r: CRef, implied: Lit) {
+        debug_assert_eq!(self.db.lit(r, 0), implied, "implied literal not at position 0");
+        debug_assert_eq!(
+            self.level[implied.var().index()],
+            self.reason_level(r),
+            "implied literal not at its reason's highest level"
+        );
+    }
+
+    /// The level conflict clause `c` is falsified at, which chronological
+    /// backtracking can put below the decision level, and whether exactly
+    /// one of its literals sits at that level. Moves the clause's two
+    /// highest-level literals into the watched positions first, re-watching
+    /// any that change: a clause left watched by two lower false literals
+    /// would stay unwatched by everything the backtrack unassigns.
+    fn conflict_level(&mut self, c: CRef) -> (u32, bool) {
+        let len = self.db.len(c);
+        let level_at = |s: &Self, k: usize| s.level[s.db.lit(c, k).var().index()];
+        let (mut max, mut count) = (0, 0);
+        for k in 0..len {
+            let l = level_at(self, k);
+            if l > max {
+                (max, count) = (l, 1);
+            } else if l == max {
+                count += 1;
+            }
+        }
+        for i in 0..2 {
+            if level_at(self, i) == max {
+                continue;
+            }
+            let mut best = i;
+            for k in i + 1..len {
+                if level_at(self, k) > level_at(self, best) {
+                    best = k;
+                }
+            }
+            if best == i {
+                continue;
+            }
+            let old = self.db.lit(c, i);
+            self.db.swap_lits(c, i, best);
+            if best > 1 {
+                self.watches[(!old).index()].retain(|w| w.cref != c);
+                let new = self.db.lit(c, i);
+                let blocker = self.db.lit(c, 1 - i);
+                self.watches[(!new).index()].push(Watcher { cref: c, blocker });
+            }
+        }
+        debug_assert_eq!(level_at(self, 0), max);
+        debug_assert!((2..len).all(|k| level_at(self, k) <= level_at(self, 1)));
+        (max, count == 1)
+    }
+
     /// One-bit-per-level abstraction of a variable's decision level
     /// (MiniSat's `abstractLevel`), used by the recursive minimizer to
     /// cheaply reject reason literals from levels the learnt clause never
@@ -901,6 +1044,7 @@ impl Solver {
         while let Some(q) = self.ccmin_stack.pop() {
             let r = self.reason[q.var().index()];
             debug_assert_ne!(r, CREF_UNDEF);
+            self.debug_assert_reason(r, !q);
             // A reason clause keeps its propagated literal at position 0
             // while locked, so positions 1.. are exactly the antecedents.
             for k in 1..self.db.len(r) {
@@ -1043,12 +1187,13 @@ impl Solver {
         lbd
     }
 
-    /// Installs a learnt clause and enqueues its asserting literal.
+    /// Installs a learnt clause and enqueues its asserting literal at
+    /// `level`, the level of the clause's second literal (0 for a unit).
     /// Returns the clause's LBD (1 for unit learnts), which feeds the
     /// adaptive-restart averages.
-    fn record_learnt(&mut self, lits: Vec<Lit>) -> u32 {
+    fn record_learnt(&mut self, lits: Vec<Lit>, level: u32) -> u32 {
         if lits.len() == 1 {
-            self.unchecked_enqueue(lits[0], CREF_UNDEF);
+            self.unchecked_enqueue(lits[0], 0, CREF_UNDEF);
             return 1;
         }
         let cref = self.db.alloc(&lits, true);
@@ -1060,7 +1205,7 @@ impl Solver {
         self.learnts.push(cref);
         self.stats.learnts = self.learnts.len() as u64;
         self.attach(cref);
-        self.unchecked_enqueue(lits[0], cref);
+        self.unchecked_enqueue(lits[0], level, cref);
         lbd
     }
 
@@ -1325,7 +1470,7 @@ impl Solver {
         // a restart would throw away. During the first `window` conflicts
         // the update rule degenerates to an exact running mean, so the
         // averages need no seed value.
-        let adaptive = self.modern();
+        let modern = self.modern();
         let mut lbd_fast = 0.0f64;
         let mut lbd_slow = 0.0f64;
         let mut trail_avg = 0.0f64;
@@ -1342,7 +1487,14 @@ impl Solver {
             if let Some(confl) = confl {
                 self.stats.conflicts += 1;
                 conflicts_in_run += 1;
-                if self.decision_level() == 0 {
+                // Under chronological backtracking the conflict may sit
+                // below the decision level; the legacy trail is in order.
+                let (level, single) = if modern {
+                    self.conflict_level(confl)
+                } else {
+                    (self.decision_level(), false)
+                };
+                if level == 0 {
                     // A sound answer beats an exhausted budget: level-0
                     // conflicts prove unsatisfiability outright.
                     self.ok = false;
@@ -1352,13 +1504,32 @@ impl Solver {
                 if self.stats.conflicts > self.limit_conflicts {
                     break self.interrupted(InterruptCause::Conflicts, &entry_stats);
                 }
+                if single {
+                    // A missed lower implication: the clause's one literal
+                    // on the conflict level is implied by the rest. Re-imply
+                    // it one level down, with the clause as its reason.
+                    self.cancel_until(level - 1);
+                    let implied = self.db.lit(confl, 0);
+                    let at = self.level[self.db.lit(confl, 1).var().index()];
+                    self.unchecked_enqueue(implied, at, confl);
+                    continue;
+                }
+                self.cancel_until(level);
                 let (learnt, bt_level) = self.analyze(confl);
                 // Never backtrack past the assumptions that are still valid:
                 // cancel_until handles re-enqueueing since decisions are
-                // re-derived from `assumptions` in the decision phase.
-                self.cancel_until(bt_level);
-                let lbd = self.record_learnt(learnt);
-                if adaptive {
+                // re-derived from `assumptions` in the decision phase. A
+                // long backjump of the modern engine only backtracks one
+                // level and asserts out of order (units still go to 0).
+                let target = if modern && learnt.len() > 1 && level - bt_level > CHRONO_LEVELS {
+                    self.stats.chrono_backtracks += 1;
+                    level - 1
+                } else {
+                    bt_level
+                };
+                self.cancel_until(target);
+                let lbd = self.record_learnt(learnt, bt_level);
+                if modern {
                     solve_conflicts += 1;
                     let fast_n = solve_conflicts.min(LBD_FAST_WINDOW) as f64;
                     let slow_n = solve_conflicts.min(LBD_SLOW_WINDOW) as f64;
@@ -1373,13 +1544,13 @@ impl Solver {
                     self.max_learnts *= 1.3;
                 }
             } else {
-                let restart_due = if adaptive {
+                let restart_due = if modern {
                     conflicts_in_run >= RESTART_MIN_INTERVAL
                         && lbd_fast > lbd_slow * RESTART_MARGIN
                 } else {
                     conflicts_in_run >= conflicts_until_restart
                 };
-                if restart_due && adaptive && self.trail.len() as f64 > trail_avg * RESTART_BLOCK_MARGIN
+                if restart_due && modern && self.trail.len() as f64 > trail_avg * RESTART_BLOCK_MARGIN
                 {
                     // Blocked: the trail is far past its average, i.e. the
                     // search is assignment-heavy (SAT-leaning) and close to
@@ -1394,7 +1565,7 @@ impl Solver {
                     restart_count += 1;
                     conflicts_in_run = 0;
                     conflicts_until_restart = Self::luby(restart_count) * RESTART_BASE;
-                    if adaptive {
+                    if modern {
                         // Like glucose clearing its conflict queue: the
                         // trigger re-arms on fresh degradation only.
                         lbd_fast = lbd_slow;
@@ -1438,7 +1609,7 @@ impl Solver {
                     Some(p) => {
                         self.stats.decisions += 1;
                         self.new_decision_level();
-                        self.unchecked_enqueue(p, CREF_UNDEF);
+                        self.unchecked_enqueue(p, self.decision_level(), CREF_UNDEF);
                     }
                 }
             }

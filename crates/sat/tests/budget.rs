@@ -3,7 +3,7 @@
 //! answer), interrupts are deterministic for the counter-based causes, and
 //! an interrupted solver stays fully usable.
 
-use ssc_sat::{Budget, CancelToken, InterruptCause, SolveResult, Solver, Var};
+use ssc_sat::{Budget, CancelToken, Heuristics, InterruptCause, SolveResult, Solver, Var};
 use std::time::{Duration, Instant};
 
 /// PHP(pigeons, holes): unsatisfiable for pigeons > holes, and hard enough
@@ -152,4 +152,34 @@ fn budget_interrupt_accounting_in_stats_delta() {
     assert_eq!(delta.interrupts, 1);
     assert_eq!(delta.solves, 1);
     assert_eq!(delta.conflicts, 4);
+}
+
+#[test]
+fn interrupt_during_level0_propagation_keeps_the_queue() {
+    // Unsat: the four (x0 ∨ ±a ∨ ±b) clauses force x0, which forces x1
+    // and ¬x2 against (¬x1 ∨ x2). The unit x0 is learnt, so its
+    // consequences are propagated at level 0 inside the solve, where a
+    // propagation budget can stop them halfway. The literals left in the
+    // queue must still be propagated by the next solve: a clause whose two
+    // watches both fall among them is never visited otherwise.
+    for heur in [Heuristics::Modern, Heuristics::Legacy] {
+        for budget in 1..=40 {
+            let mut s = Solver::with_heuristics(heur);
+            let [x0, a, b, x1, x2] = [(); 5].map(|()| s.new_var());
+            for (sa, sb) in [(false, false), (false, true), (true, false), (true, true)] {
+                s.add_clause([x0.pos(), a.lit(sa), b.lit(sb)]);
+            }
+            s.add_clause([x0.neg(), x1.pos()]);
+            s.add_clause([x0.neg(), x2.neg()]);
+            s.add_clause([x1.neg(), x2.pos()]);
+            s.set_budget(Budget::unlimited().with_propagations(budget));
+            let first = s.solve(&[]);
+            assert!(
+                matches!(first, SolveResult::Unsat | SolveResult::Unknown(_)),
+                "{heur:?}, budget {budget}: {first:?}"
+            );
+            s.set_budget(Budget::unlimited());
+            assert_eq!(s.solve(&[]), SolveResult::Unsat, "{heur:?}, budget {budget}");
+        }
+    }
 }
