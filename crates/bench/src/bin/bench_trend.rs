@@ -35,9 +35,6 @@ struct Gate {
     largest_of: Option<&'static str>,
     /// The floor applies only where the record's host had this.
     needs: Option<Needs>,
-    /// A field that is 0 when the record measured nothing the ratio covers,
-    /// and what that means.
-    measured_by: Option<(&'static str, &'static str)>,
 }
 
 /// A host capability a floor presumes.
@@ -48,36 +45,30 @@ enum Needs {
     AtLeast(&'static str, f64),
 }
 
-/// A failed attestation, an unmeasured ratio and a field missing from the
-/// record make it malformed (exit 2); a host without a floor's capability
-/// makes the gate skip.
+/// A failed attestation and a field missing from the record make it
+/// malformed (exit 2); a host without a floor's capability makes the gate
+/// skip.
 #[rustfmt::skip]
 const GATES: &[Gate] = &[
     // Persistent-session Alg. 2 against the fresh-session baseline.
     Gate { file: "BENCH_e6_scaling.json", bench: "e6_scaling", field: "speedup", floor: 1.5,
         context: &["config", "words"], attest: false, largest_of: Some("incremental_vs_fresh"),
-        needs: None, measured_by: None },
+        needs: None },
     // 64-lane dynamic-IFT trial throughput against the scalar loop.
     Gate { file: "BENCH_e8_lanes.json", bench: "e8_ift_baseline", field: "speedup", floor: 8.0,
-        context: &["lanes"], attest: false, largest_of: None, needs: None, measured_by: None },
+        context: &["lanes"], attest: false, largest_of: None, needs: None },
     // 256 lanes against 64; AVX2 is the wide engine's target ISA.
     Gate { file: "BENCH_e8_lanes.json", bench: "e8_ift_baseline", field: "wide_vs_batch",
         floor: 1.5, context: &["wide_lanes"], attest: false, largest_of: None,
-        needs: Some(Needs::Flag("avx2")), measured_by: None },
+        needs: Some(Needs::Flag("avx2")) },
     // Parallel portfolio against the sequential loop; fewer cores cannot
     // show the speedup.
     Gate { file: "BENCH_e9_portfolio.json", bench: "e9_portfolio", field: "speedup", floor: 2.0,
         context: &["workers", "cores"], attest: true, largest_of: None,
-        needs: Some(Needs::AtLeast("cores", 4.0)), measured_by: None },
+        needs: Some(Needs::AtLeast("cores", 4.0)) },
     // A from-scratch cell's setup against a marginal shared cell's.
     Gate { file: "BENCH_e10_shared.json", bench: "e10_shared_portfolio", field: "setup_speedup",
-        floor: 1.5, context: &["words"], attest: true, largest_of: Some("sizes"), needs: None,
-        measured_by: None },
-    // Legacy against modern CDCL solve time on the window >= 2 checks.
-    Gate { file: "BENCH_e13_solver.json", bench: "e13_solver", field: "deep_speedup", floor: 1.3,
-        context: &["deep_legacy_us", "deep_modern_us", "speedup"], attest: true,
-        largest_of: None, needs: None,
-        measured_by: Some(("deep_legacy_us", "no multi-cycle (window >= 2) check was recorded")) },
+        floor: 1.5, context: &["words"], attest: true, largest_of: Some("sizes"), needs: None },
 ];
 
 fn malformed(path: &Path, what: impl Display) -> String {
@@ -123,11 +114,6 @@ fn check_gate(gate: &Gate, record: &Json, path: &Path) -> Result<bool, String> {
     if gate.attest && record.get("equivalent").and_then(Json::bool) != Some(true) {
         let what = "top-level field `equivalent` is not `true`: the compared runs disagree";
         return Err(malformed(path, what));
-    }
-    if let Some((key, meaning)) = gate.measured_by {
-        if field(record, key, path)? == 0.0 {
-            return Err(malformed(path, format_args!("field `{key}` is 0: {meaning}")));
-        }
     }
     let rows: Vec<&Json> = match gate.largest_of {
         None => vec![record],
@@ -321,50 +307,15 @@ mod tests {
     }
 
     #[test]
-    fn e13_gate_enforces_deep_speedup_and_requires_equivalence() {
-        let dir = record_dir("e13");
-        let path = dir.join("BENCH_e13_solver.json");
-        let eval = || run("BENCH_e13_solver.json", &dir);
-
-        // Absent record: exit-2 class error naming the bench to re-run.
-        let err = eval().unwrap_err();
-        assert!(err.to_string().contains("e13_solver"), "{err}");
-
-        // Deep speedup above the floor: pass, even with the overall ratio
-        // (diluted by window-1 counterexample searches) below it.
-        std::fs::write(&path, r#"{"experiment":"e13_solver","legacy_us":1000,"modern_us":950,"speedup":1.053,"deep_legacy_us":400,"deep_modern_us":200,"deep_speedup":2.000,"minimized_lits":120,"tier_promotions":8,"restarts_blocked":3,"equivalent":true,"cells":[]}"#).unwrap();
-        assert!(eval().unwrap(), "deep speedup at 2.0x must pass");
-
-        // Deep speedup below the floor: regression (a disabled knob shows
-        // up as ~1x here).
-        std::fs::write(&path, r#"{"experiment":"e13_solver","legacy_us":1000,"modern_us":1000,"speedup":1.000,"deep_legacy_us":400,"deep_modern_us":380,"deep_speedup":1.053,"minimized_lits":0,"tier_promotions":0,"restarts_blocked":0,"equivalent":true,"cells":[]}"#).unwrap();
-        assert!(!eval().unwrap(), "deep speedup at 1.05x must regress");
-
-        // No multi-cycle checks at all: the gated quantity is unmeasured
-        // — malformed, not a vacuous pass.
-        std::fs::write(&path, r#"{"experiment":"e13_solver","legacy_us":1000,"modern_us":900,"speedup":1.111,"deep_legacy_us":0,"deep_modern_us":0,"deep_speedup":0.000,"minimized_lits":50,"tier_promotions":2,"restarts_blocked":1,"equivalent":true,"cells":[]}"#).unwrap();
-        let err = eval().unwrap_err();
-        assert!(err.to_string().contains("multi-cycle"), "{err}");
-
-        // Equivalence attestation failure is malformed, not a regression
-        // — heuristics that change a verdict are unsound, not slow.
-        std::fs::write(&path, r#"{"experiment":"e13_solver","legacy_us":1000,"modern_us":400,"speedup":2.500,"deep_legacy_us":400,"deep_modern_us":100,"deep_speedup":4.000,"minimized_lits":120,"tier_promotions":8,"restarts_blocked":3,"equivalent":false,"cells":[]}"#).unwrap();
-        let err = eval().unwrap_err();
-        assert!(err.to_string().contains("equivalent"), "{err}");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn only_the_top_level_attestation_counts() {
-        // The committed e6-e10 records plus an e13 record whose own
-        // `equivalent` is false while one cell's is true.
+        // The committed e6-e9 records plus an e10 record whose own
+        // `equivalent` is false while its size entry's is true.
         let dir = record_dir("nested");
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for gate in GATES.iter().filter(|g| g.file != "BENCH_e13_solver.json") {
+        for gate in GATES.iter().filter(|g| g.file != "BENCH_e10_shared.json") {
             std::fs::copy(root.join(gate.file), dir.join(gate.file)).unwrap();
         }
-        std::fs::write(dir.join("BENCH_e13_solver.json"), r#"{"experiment":"e13_solver","legacy_us":1000,"modern_us":400,"speedup":2.500,"deep_legacy_us":400,"deep_modern_us":100,"deep_speedup":4.000,"minimized_lits":120,"tier_promotions":8,"restarts_blocked":3,"equivalent":false,"cells":[{"scenario":"dma_timer/leaky","words":8,"verdict":"vulnerable","equivalent":true}]}"#).unwrap();
+        std::fs::write(dir.join("BENCH_e10_shared.json"), r#"{"experiment":"e10_shared","sizes":[{"words":8,"cells":4,"scratch_setup_us":400,"shared_setup_us":100,"setup_speedup":4.000,"equivalent":true}],"scratch_wall_us":100,"shared_wall_us":90,"wall_speedup":1.111,"equivalent":false}"#).unwrap();
         let err = check(GATES, &dir).unwrap_err();
         assert!(err.to_string().contains("`equivalent`"), "{err}");
         std::fs::remove_dir_all(&dir).ok();

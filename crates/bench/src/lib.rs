@@ -1,7 +1,7 @@
 //! # ssc-bench — the experiment harness
 //!
 //! One function per experiment: the paper's artefacts E1–E8 and the engine
-//! studies E9, E10 and E13. Each returns a structured result that the
+//! studies E9 and E10. Each returns a structured result that the
 //! `experiments` binary renders as the paper-style table/series and the
 //! Criterion benches time; [`perf`] turns the benches' results into
 //! `BENCH_*.json` records.
@@ -640,107 +640,6 @@ pub fn e8_lanes_comparison(trials: u64) -> E8LanesComparison {
         batch_hits,
         wide_hits,
         avx2: host_has_avx2(),
-    }
-}
-
-/// E13 — head-to-head of one portfolio cell solved by the legacy
-/// MiniSat-lineage CDCL engine versus the modern engine (recursive
-/// minimization, tiered DB, adaptive restarts, chronological
-/// backtracking). Both runs fork engine-pinned twins of the same prefix,
-/// so the *only* variable is the solver engine. The engine may change the
-/// search route, so `equivalent` attests verdict agreement, not
-/// trajectory identity.
-#[derive(Clone, Debug)]
-pub struct SolverCellComparison {
-    /// Scenario label of the cell.
-    pub scenario: &'static str,
-    /// Public/private memory words of the analyzed SoC.
-    pub words: u32,
-    /// The run on the legacy-engine prefix.
-    pub legacy: FormalResult,
-    /// The run on the modern-engine prefix.
-    pub modern: FormalResult,
-    /// Solver wall clock of the multi-cycle (window ≥ 2) checks, legacy —
-    /// the solve-dominated induction windows the modern tier targets, and
-    /// the population the CI trend gate measures.
-    pub deep_legacy: Duration,
-    /// Solver wall clock of the multi-cycle checks, modern.
-    pub deep_modern: Duration,
-    /// Conflicts spent across the whole trajectory, legacy / modern.
-    pub conflicts: (u64, u64),
-    /// Modern-run heuristic activity: literals deleted by recursive
-    /// minimization beyond what analysis produced.
-    pub minimized_lits: u64,
-    /// Modern-run learnt-clause promotions into a better tier.
-    pub tier_promotions: u64,
-    /// Modern-run adaptive restarts postponed by the trail-size block.
-    pub restarts_blocked: u64,
-    /// Modern-run backjumps taken chronologically (longer than
-    /// [`ssc_sat::CHRONO_LEVELS`] levels).
-    pub chrono_backtracks: u64,
-    /// Whether both engines reached the same verdict kind. Must be `true`:
-    /// heuristics choose the route, never the destination.
-    pub equivalent: bool,
-}
-
-impl SolverCellComparison {
-    /// Legacy-over-modern wall-clock ratio for the cell (> 1 = modern won).
-    pub fn speedup(&self) -> f64 {
-        self.legacy.runtime.as_secs_f64() / self.modern.runtime.as_secs_f64().max(1e-9)
-    }
-
-    /// The ratio on the multi-cycle (window ≥ 2) checks only — the E13
-    /// headline quantity, gated ≥ 1.3× in aggregate by `bench_trend`.
-    pub fn deep_speedup(&self) -> f64 {
-        self.deep_legacy.as_secs_f64() / self.deep_modern.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Measures [`SolverCellComparison`] for one cell over two engine-pinned
-/// prefixes (built via
-/// `SessionPrefix::build_with_solver_heuristics(.., legacy/modern)`);
-/// forks inherit the pinned heuristics, so each run is wholly one engine.
-pub fn compare_solver_cell(
-    scenario: &portfolio::Scenario,
-    art: &std::sync::Arc<upec_ssc::ProductArtifact>,
-    legacy_prefix: &upec_ssc::SessionPrefix<'_>,
-    modern_prefix: &upec_ssc::SessionPrefix<'_>,
-    words: u32,
-) -> SolverCellComparison {
-    let legacy = portfolio::run_cell_shared(scenario, art, legacy_prefix, words);
-    let modern = portfolio::run_cell_shared(scenario, art, modern_prefix, words);
-    let kind = |e: &portfolio::PortfolioEntry| match &e.result.verdict {
-        Verdict::Secure(_) => 0u8,
-        Verdict::Vulnerable(_) => 1,
-        Verdict::Inconclusive(_) => 2,
-    };
-    let equivalent = kind(&legacy) == kind(&modern)
-        && !matches!(legacy.result.verdict, Verdict::Inconclusive(_));
-    let deep = |e: &portfolio::PortfolioEntry| {
-        e.result
-            .verdict
-            .iterations()
-            .iter()
-            .filter(|it| it.window >= 2)
-            .map(|it| it.runtime)
-            .sum::<Duration>()
-    };
-    let sum = |e: &portfolio::PortfolioEntry, f: fn(&upec_ssc::IterationStat) -> u64| {
-        e.result.verdict.iterations().iter().map(f).sum::<u64>()
-    };
-    SolverCellComparison {
-        scenario: scenario.name,
-        words,
-        deep_legacy: deep(&legacy),
-        deep_modern: deep(&modern),
-        conflicts: (sum(&legacy, |it| it.solver.conflicts), sum(&modern, |it| it.solver.conflicts)),
-        minimized_lits: sum(&modern, |it| it.solver.minimized_lits),
-        tier_promotions: sum(&modern, |it| it.solver.tier_promotions),
-        restarts_blocked: sum(&modern, |it| it.solver.restarts_blocked),
-        chrono_backtracks: sum(&modern, |it| it.solver.chrono_backtracks),
-        legacy: legacy.result,
-        modern: modern.result,
-        equivalent,
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Every record is one [`Json`] value: its `Display` is the only writer and
 //! [`Json::parse`] the only reader (the workspace has no serde). The
-//! builders [`e6`], [`e7`], [`e8_lanes`], [`e9`], [`e10`] and [`e13`] turn a
+//! builders [`e6`], [`e7`], [`e8_lanes`], [`e9`] and [`e10`] turn a
 //! bench's measurements into a record, [`write_record`] stores it under
 //! [`record_root`], and the `bench_trend` binary reads it back to gate the
 //! headline ratios. Times are whole microseconds in `*_us` fields; ratios
@@ -15,10 +15,7 @@ use std::time::Duration;
 use upec_ssc::{IterationStat, Verdict};
 
 use crate::portfolio::{PortfolioEntry, PortfolioReport, SetupComparison};
-use crate::{
-    E8LanesComparison, IncrementalComparison, ProcedureComparison, ScalingPoint,
-    SolverCellComparison,
-};
+use crate::{E8LanesComparison, IncrementalComparison, ProcedureComparison, ScalingPoint};
 
 /// A perf-record value: JSON without `null`.
 #[derive(Clone, Debug, PartialEq)]
@@ -434,29 +431,6 @@ fn setup(s: &SetupComparison) -> Json {
     ])
 }
 
-/// One e13 cell; its `iterations` come from the modern run.
-fn cell(c: &SolverCellComparison) -> Json {
-    obj([
-        ("scenario", c.scenario.into()),
-        ("words", c.words.into()),
-        ("verdict", verdict_kind(&c.modern.verdict)),
-        ("legacy_us", c.legacy.runtime.into()),
-        ("modern_us", c.modern.runtime.into()),
-        ("speedup", c.speedup().into()),
-        ("deep_legacy_us", c.deep_legacy.into()),
-        ("deep_modern_us", c.deep_modern.into()),
-        ("deep_speedup", c.deep_speedup().into()),
-        ("legacy_conflicts", c.conflicts.0.into()),
-        ("modern_conflicts", c.conflicts.1.into()),
-        ("minimized_lits", c.minimized_lits.into()),
-        ("tier_promotions", c.tier_promotions.into()),
-        ("restarts_blocked", c.restarts_blocked.into()),
-        ("chrono_backtracks", c.chrono_backtracks.into()),
-        ("equivalent", c.equivalent.into()),
-        ("iterations", iterations(&c.modern.verdict)),
-    ])
-}
-
 /// `before / after`, guarded against a zero `after`.
 fn ratio(before: Duration, after: Duration) -> Json {
     (before.as_secs_f64() / after.as_secs_f64().max(1e-9)).into()
@@ -549,37 +523,6 @@ pub fn e10(
         ("shared_wall_us", shared.into()),
         ("wall_speedup", ratio(scratch, shared)),
         ("equivalent", equivalent.into()),
-    ])
-}
-
-/// The E13 record: the legacy versus the modern CDCL engine on the
-/// portfolio matrix, over engine-pinned twins of one shared prefix per
-/// size. `deep_speedup` is Σ legacy / Σ modern solve time over the
-/// multi-cycle (window ≥ 2) induction checks, the solve-dominated population
-/// the modern engine targets; `speedup` is the same ratio over whole cells,
-/// which cheap window-1 counterexample searches dilute. `equivalent`
-/// attests that every cell reached the same verdict kind under both
-/// engines.
-pub fn e13(cells: &[SolverCellComparison]) -> Json {
-    let legacy: Duration = cells.iter().map(|c| c.legacy.runtime).sum();
-    let modern: Duration = cells.iter().map(|c| c.modern.runtime).sum();
-    let deep_legacy: Duration = cells.iter().map(|c| c.deep_legacy).sum();
-    let deep_modern: Duration = cells.iter().map(|c| c.deep_modern).sum();
-    let total = |f: fn(&SolverCellComparison) -> u64| cells.iter().map(f).sum::<u64>();
-    obj([
-        ("experiment", "e13_solver".into()),
-        ("legacy_us", legacy.into()),
-        ("modern_us", modern.into()),
-        ("speedup", ratio(legacy, modern)),
-        ("deep_legacy_us", deep_legacy.into()),
-        ("deep_modern_us", deep_modern.into()),
-        ("deep_speedup", ratio(deep_legacy, deep_modern)),
-        ("minimized_lits", total(|c| c.minimized_lits).into()),
-        ("tier_promotions", total(|c| c.tier_promotions).into()),
-        ("restarts_blocked", total(|c| c.restarts_blocked).into()),
-        ("chrono_backtracks", total(|c| c.chrono_backtracks).into()),
-        ("equivalent", cells.iter().all(|c| c.equivalent).into()),
-        ("cells", Json::Arr(cells.iter().map(cell).collect())),
     ])
 }
 
@@ -719,7 +662,7 @@ mod tests {
             round_trips(&record);
             seen += 1;
         }
-        assert!(seen >= 6, "found only {seen} committed records under {}", root.display());
+        assert!(seen >= 5, "found only {seen} committed records under {}", root.display());
     }
 
     #[test]
@@ -760,22 +703,7 @@ mod tests {
             shared_cells: Duration::from_millis(12),
         };
         let e10 = e10(&[setup], Duration::from_secs(2), Duration::from_secs(1), true);
-        let cell = SolverCellComparison {
-            scenario: "dma_timer/leaky",
-            words: 8,
-            legacy: cmp.fresh.clone(),
-            modern: cmp.incremental.clone(),
-            deep_legacy: Duration::from_millis(40),
-            deep_modern: Duration::from_millis(20),
-            conflicts: (10, 5),
-            minimized_lits: 3,
-            tier_promotions: 2,
-            restarts_blocked: 1,
-            chrono_backtracks: 4,
-            equivalent: true,
-        };
-        let e13 = e13(&[cell]);
-        for record in [&e6, &e7, &e9, &e10, &e13] {
+        for record in [&e6, &e7, &e9, &e10] {
             round_trips(record);
         }
 
@@ -793,9 +721,5 @@ mod tests {
         let size = &e10.get("sizes").and_then(Json::arr).unwrap()[0];
         assert_eq!(num(size, "setup_speedup"), Some(2.5));
         assert_eq!(num(&e10, "wall_speedup"), Some(2.0));
-        assert_eq!(num(&e13, "deep_speedup"), Some(2.0));
-        assert_eq!(num(&e13, "deep_legacy_us"), Some(40_000.0));
-        assert_eq!(num(&e13, "chrono_backtracks"), Some(4.0));
-        assert_eq!(e13.get("equivalent").and_then(Json::bool), Some(true));
     }
 }

@@ -176,7 +176,7 @@ fn seal_cell(
 /// Runs one matrix cell on the shared base: binds the scenario spec to the
 /// size's artifact, forks the size's base prefix and runs the unrolled
 /// procedure in the forked session.
-pub fn run_cell_shared(
+fn run_cell_shared(
     scenario: &Scenario,
     art: &Arc<ProductArtifact>,
     prefix: &SessionPrefix<'_>,

@@ -368,22 +368,31 @@ impl<'p> SessionPrefix<'p> {
         spec: &UpecSpec,
         window: usize,
     ) -> Result<SessionPrefix<'p>, String> {
-        Self::build_with_solver_heuristics(art, spec, window, None)
+        Self::build_on(Ipc::new(&art.product), art, spec, window)
     }
 
-    /// [`SessionPrefix::build`] with an explicitly pinned solver engine
-    /// (`None` = environment default). Equivalence harnesses and the e13
-    /// bench use this to hold the legacy and modern CDCL engines side by
-    /// side in one process; forks inherit the pinned engine.
+    /// [`SessionPrefix::build`] on a certifying checker (see
+    /// [`Ipc::certifying`]): every learnt clause and every check's answer
+    /// in the prefix and in every session forked from it is verified by
+    /// an independent RUP checker. Tests use it; production sessions do not
+    /// certify.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SessionPrefix::build`].
-    pub fn build_with_solver_heuristics(
+    pub fn build_certifying(
         art: &'p ProductArtifact,
         spec: &UpecSpec,
         window: usize,
-        heur: Option<ssc_sat::Heuristics>,
+    ) -> Result<SessionPrefix<'p>, String> {
+        Self::build_on(Ipc::certifying(&art.product), art, spec, window)
+    }
+
+    fn build_on(
+        ipc: Ipc<'p>,
+        art: &'p ProductArtifact,
+        spec: &UpecSpec,
+        window: usize,
     ) -> Result<SessionPrefix<'p>, String> {
         for ip in &spec.ip_ports {
             for name in [&ip.req, &ip.addr] {
@@ -391,10 +400,6 @@ impl<'p> SessionPrefix<'p> {
                     .find(name)
                     .ok_or_else(|| format!("IP port signal `{name}` not found"))?;
             }
-        }
-        let mut ipc = Ipc::new(&art.product);
-        if let Some(h) = heur {
-            ipc.set_solver_heuristics(h);
         }
         let mut p = SessionPrefix {
             ipc,
@@ -1135,14 +1140,25 @@ impl<'p> Session<'p> {
             };
             trace.push(CexCycle { cycle: c, port_a: act(self, Instance::A), port_b: act(self, Instance::B) });
         }
-        // Initial state of both instances for concrete replay.
+        // Initial state of both instances for concrete replay, read bit by
+        // bit: a word whose high bits lie outside the check's cone (say
+        // `r7` of `r4.next = r7 + r7`) still replays its encoded bits, with
+        // the others 0. Only a word with no bit in the model is left at its
+        // reset value.
+        let model_bits = |word: &Word| {
+            let mut value = None;
+            for (i, bit) in word.iter().enumerate() {
+                if let Ok(b) = self.prefix.ipc.model_word(std::slice::from_ref(bit)) {
+                    value = Some(value.unwrap_or(0) | b << i);
+                }
+            }
+            value
+        };
         let mut initial_state = Vec::new();
         for atom in atoms::all_atoms(self.an.src()) {
             let wa = self.atom_word(Instance::A, atom, 0);
             let wb = self.atom_word(Instance::B, atom, 0);
-            if let (Ok(va), Ok(vb)) =
-                (self.prefix.ipc.model_word(&wa), self.prefix.ipc.model_word(&wb))
-            {
+            if let (Some(va), Some(vb)) = (model_bits(&wa), model_bits(&wb)) {
                 initial_state.push((atom, self.an.atom_name(atom), va, vb));
             }
         }

@@ -1,8 +1,7 @@
 //! Property-based coverage of the engine on randomly wired register
-//! designs: whatever the topology, Alg. 2 under the legacy and the modern
-//! CDCL engine must reach the same verdict kind. The engines may steer
-//! the solver to different valid counterexamples, never change whether
-//! one exists.
+//! designs: whatever the topology, Alg. 2 on a certifying prefix must have
+//! every conclusive solver answer accepted by the RUP checker, and every
+//! Vulnerable counterexample must replay on the concrete simulator.
 //!
 //! Designs are generated from a seeded xorshift stream (the proptest shim
 //! supplies the seeds), mixing port-fed, register-fed, mux-arbitrated and
@@ -11,7 +10,8 @@
 use proptest::prelude::*;
 use ssc_netlist::{Bv, Netlist, StateMeta};
 use upec_ssc::{
-    PersistencePolicy, Session, SessionPrefix, UpecAnalysis, UpecSpec, Verdict, VictimPort,
+    replay_on_simulator, PersistencePolicy, Session, SessionPrefix, UpecAnalysis, UpecSpec,
+    Verdict, VictimPort,
 };
 
 struct XorShift(u64);
@@ -94,34 +94,50 @@ fn spec() -> UpecSpec {
     }
 }
 
-fn kind(v: &Verdict) -> &'static str {
-    match v {
-        Verdict::Secure(_) => "secure",
-        Verdict::Vulnerable(_) => "vulnerable",
-        Verdict::Inconclusive(_) => "inconclusive",
+/// Runs Alg. 2 on `seed`'s design off a certifying prefix. Panics if an
+/// iteration has an uncertified conclusive answer, or if the verdict is
+/// Vulnerable and its counterexample does not replay.
+fn certified_run(seed: u64) -> Verdict {
+    let n = random_design(seed);
+    let an = UpecAnalysis::new(&n, spec()).expect("spec matches the design");
+    let prefix = SessionPrefix::build_certifying(an.artifact(), an.spec(), 1)
+        .expect("a bound spec was already validated");
+    let v = an.alg2_with_session(Session::with_prefix(&an, prefix));
+    for it in v.iterations() {
+        let s = it.solver;
+        assert_eq!(
+            s.certified,
+            s.solves - s.interrupts,
+            "seed {seed:#x}, iteration {}",
+            it.iteration
+        );
     }
+    assert!(v.iterations().iter().any(|it| it.solver.certified > 0), "seed {seed:#x}: {v}");
+    if let Verdict::Vulnerable(r) = &v {
+        if let Err(e) = replay_on_simulator(&an, &r.cex) {
+            panic!("seed {seed:#x}: {e}");
+        }
+    }
+    v
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn legacy_and_modern_engines_agree_on_random_designs(seed: u64) {
-        let n = random_design(seed);
-        let an = UpecAnalysis::new(&n, spec()).expect("spec matches the design");
-        let run = |heur| {
-            let prefix =
-                SessionPrefix::build_with_solver_heuristics(an.artifact(), an.spec(), 1, Some(heur))
-                    .expect("a bound spec was already validated");
-            an.alg2_with_session(Session::with_prefix(&an, prefix))
-        };
-        let legacy = run(ssc_sat::Heuristics::Legacy);
-        let modern = run(ssc_sat::Heuristics::Modern);
-        prop_assert_eq!(
-            kind(&legacy),
-            kind(&modern),
-            "the engines disagree on seed {:#x}",
-            seed
-        );
+    fn answers_are_certified_and_counterexamples_replay_on_random_designs(seed: u64) {
+        certified_run(seed);
+    }
+}
+
+/// Designs whose counterexamples start a register that is only partly in
+/// the check's cone (its high bits feed nothing the check reads). The
+/// counterexample must still carry that register's encoded bits, or the
+/// simulator starts it at its reset value and the divergence does not
+/// replay.
+#[test]
+fn counterexamples_with_partly_encoded_registers_replay() {
+    for seed in [0x9e5c77e75ae9e76e, 0x0c9cc190eed84e3b, 0x54c4da9f749b9efe, 0xb1ee01b0f092cab0] {
+        assert!(certified_run(seed).is_vulnerable(), "seed {seed:#x}");
     }
 }

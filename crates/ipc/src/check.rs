@@ -76,19 +76,31 @@ impl<'n> Ipc<'n> {
     ///
     /// Panics if the netlist fails [`Netlist::check`].
     pub fn new(netlist: &'n Netlist) -> Self {
-        Ipc {
-            unroller: Unroller::new(netlist),
-            solver: Solver::new(),
-            enc: CnfEncoder::new(),
-            checks: 0,
-        }
+        Ipc::with_solver(netlist, Solver::new())
+    }
+
+    /// [`Ipc::new`] on a certifying solver (see
+    /// [`ssc_sat::Solver::certifying`]): an independent RUP checker checks
+    /// every learnt clause and every check's answer, and panics on one it
+    /// cannot verify. [`ssc_sat::SolverStats::certified`] counts the
+    /// accepted answers. Forks certify too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist fails [`Netlist::check`].
+    pub fn certifying(netlist: &'n Netlist) -> Self {
+        Ipc::with_solver(netlist, Solver::certifying())
+    }
+
+    fn with_solver(netlist: &'n Netlist, solver: Solver) -> Self {
+        Ipc { unroller: Unroller::new(netlist), solver, enc: CnfEncoder::new(), checks: 0 }
     }
 
     /// Forks the checker into an independent copy-on-write snapshot: the
     /// unrolled AIG, the node→variable table and the whole solver state
-    /// (clause arena, learnt database, engine, saved phases, VSIDS
-    /// activities) are carried over, and the two checkers diverge freely
-    /// from here on.
+    /// (clause arena, learnt database, saved phases, VSIDS activities and,
+    /// on a certifying checker, the proof checker) are carried over, and
+    /// the two checkers diverge freely from here on.
     ///
     /// This is the portfolio-sharing primitive: encode the prefix every
     /// scenario has in common **once** in a base checker, then fork it per
@@ -131,18 +143,6 @@ impl<'n> Ipc<'n> {
         self.solver.stats()
     }
 
-    /// The solver's engine (see [`ssc_sat::Heuristics`]).
-    pub fn solver_heuristics(&self) -> ssc_sat::Heuristics {
-        self.solver.heuristics()
-    }
-
-    /// Pins the solver's engine, overriding the environment-derived
-    /// default. Equivalence harnesses use this to run legacy and modern
-    /// engines side by side in one process.
-    pub fn set_solver_heuristics(&mut self, heur: ssc_sat::Heuristics) {
-        self.solver.set_heuristics(heur);
-    }
-
     /// Number of AIG nodes Tseitin-encoded into the solver so far.
     ///
     /// Growth of this counter between two checks bounds the encoding work
@@ -153,8 +153,9 @@ impl<'n> Ipc<'n> {
     }
 
     /// Reduces the solver's learnt-clause database and compacts its clause
-    /// arena. Safe to call between checks of a long-lived session; glue
-    /// and locked clauses survive (see `ssc_sat::Solver::collect_garbage`).
+    /// arena. Safe to call between checks of a long-lived session;
+    /// core-tier clauses (LBD ≤ 3) and locked clauses survive (see
+    /// `ssc_sat::Solver::collect_garbage`).
     pub fn collect_garbage(&mut self) {
         self.solver.collect_garbage();
     }
@@ -270,7 +271,8 @@ impl<'n> Ipc<'n> {
         let _ = self.enc.lits_of(&mut self.solver, aig, word);
     }
 
-    /// The value of a word in the last counterexample.
+    /// The value of a word (or any slice of AIG bits) in the last
+    /// counterexample.
     ///
     /// # Errors
     ///
@@ -279,7 +281,7 @@ impl<'n> Ipc<'n> {
     ///   [`Ipc::ensure_encoded`] was not called before the check,
     /// - [`ModelError::NotInModel`]: the word was encoded only *after* the
     ///   violated check, so the stored model predates its variables.
-    pub fn model_word(&self, word: &Word) -> Result<u64, ModelError> {
+    pub fn model_word(&self, word: &[AigRef]) -> Result<u64, ModelError> {
         self.enc.model_word(&self.solver, word)
     }
 
@@ -288,7 +290,7 @@ impl<'n> Ipc<'n> {
     /// # Errors
     ///
     /// Same conditions as [`Ipc::model_word`].
-    pub fn model_bv(&self, word: &Word) -> Result<Bv, ModelError> {
+    pub fn model_bv(&self, word: &[AigRef]) -> Result<Bv, ModelError> {
         let v = self.model_word(word)?;
         Ok(Bv::new(word.len() as u32, v))
     }

@@ -37,8 +37,8 @@
 //!    deactivates the obligation while every learnt lemma stays valid.
 //!
 //! Between windows, [`Ipc::collect_garbage`] can shed stale learnt clauses
-//! (glue and locked clauses survive) so an arbitrarily long session does
-//! not grow without bound.
+//! (core-tier clauses with LBD ≤ 3 and locked clauses survive) so an
+//! arbitrarily long session does not grow without bound.
 //!
 //! # Copy-on-write session forks
 //!

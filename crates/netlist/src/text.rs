@@ -151,6 +151,10 @@ struct Parser<'a> {
     netlist: Netlist,
     /// old textual id -> created wire
     sigs: Vec<Option<Wire>>,
+    /// Bound on definition ids: the source's line count. [`emit`] writes
+    /// one definition line per node index, so it never reaches the bound,
+    /// and `sigs` never grows past it.
+    id_limit: usize,
     pending_next: Vec<(usize, u32, u32)>, // (line, reg, next)
     src: &'a str,
 }
@@ -165,6 +169,7 @@ pub fn parse(src: &str) -> Result<Netlist, ParseError> {
         line_no: 0,
         netlist: Netlist::new("anonymous"),
         sigs: Vec::new(),
+        id_limit: src.lines().count(),
         pending_next: Vec::new(),
         src,
     };
@@ -291,6 +296,11 @@ impl<'a> Parser<'a> {
 
     fn record(&mut self, id: u32, wire: Wire) -> Result<(), ParseError> {
         let idx = id as usize;
+        if idx >= self.id_limit {
+            return Err(
+                self.err(format!("signal id %{id} is not below the line count {}", self.id_limit))
+            );
+        }
         if self.sigs.len() <= idx {
             self.sigs.resize(idx + 1, None);
         }
@@ -659,6 +669,7 @@ mod tests {
                 "@0 mem ram 4 8\n%0 input en 2\n%1 input d 8\nwrite @0 en=%0 addr=%0 data=%1",
             ),
             ("netlist after a definition", "%0 input a 1\nnetlist u"),
+            ("id at or above the line count", "%4294967295 input a 1"),
         ];
         for (what, body) in cases {
             let src = format!("netlist t\n{body}\nend\n");

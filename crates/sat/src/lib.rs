@@ -17,18 +17,17 @@
 //!   backtracks one level and asserts out of trail order, keeping the
 //!   trail above the jump target,
 //! - incremental solving under assumptions (the workhorse of the iterative
-//!   UPEC-SSC procedure, which re-solves with shrinking state sets).
+//!   UPEC-SSC procedure, which re-solves with shrinking state sets),
+//! - a **certifying mode** whose answers an independent RUP checker
+//!   verifies ([`rup`]).
 //!
-//! # CDCL engines
+//! # CDCL engine
 //!
-//! A solver runs one of two fixed engines ([`Heuristics`]). The modern
-//! engine has the four refinements above always on. The legacy engine is
-//! the MiniSat-lineage baseline — one-level minimization, single-sweep
-//! half-deletion of learnts, Luby restarts and full backjumps — kept as
-//! the reference the crosschecks compare against.
+//! The solver runs one fixed engine with the four refinements above always
+//! on; no variable or option selects another.
 //!
 //! Chronological backtracking leaves the trail out of level order, and the
-//! modern engine keeps three invariants that make that sound:
+//! engine keeps three invariants that make that sound:
 //!
 //! - **assignment levels**: a propagated literal takes the highest level
 //!   among its reason's other literals, an asserting literal the level of
@@ -42,22 +41,25 @@
 //!   single literal on that level is a missed lower implication and is
 //!   re-implied without learning.
 //!
-//! The legacy trail stays in level order, so its search is the MiniSat
-//! baseline step for step.
+//! # Certifying mode
 //!
-//! Every [`Solver::new`] reads the engine from the environment once;
-//! tests and benches pin one via [`Solver::set_heuristics`]. A malformed
-//! value panics naming the variable and value — a mistyped CI matrix
-//! entry must not silently measure the wrong engine:
+//! [`Solver::certifying`] builds a solver that feeds every input clause,
+//! every learnt clause and every conclusive answer to a [`rup::Checker`].
+//! The checker shares nothing with the solver but [`Lit`]: it keeps its
+//! own clause store and its own unit propagation, and it panics on
+//! anything it cannot verify.
 //!
-//! | Variable | Effect | Unset |
-//! |---|---|---|
-//! | `SSC_SOLVER_MODERN` | `0`/`off`/`false` = legacy, `1`/`on`/`true` = modern | modern |
+//! - Each learnt clause, units included, must be RUP with respect to the
+//!   input clauses and the earlier learnt clauses.
+//! - An `Unsat` answer's assumption core must be a subset of that solve's
+//!   assumptions, and the clause ¬core must be RUP. A level-0 `Unsat`
+//!   needs the empty clause to be RUP.
+//! - A `Sat` answer's model must satisfy every input clause.
 //!
-//! CI runs the full suite a second time with `SSC_SOLVER_MODERN=0` to
-//! keep the legacy engine green. The engine never affects *verdicts* —
-//! only the route taken to them — which the crosscheck suites assert
-//! across the whole scenario matrix.
+//! [`SolverStats::certified`] counts the accepted answers. The crosscheck
+//! tests run certifying solvers where a second solver engine used to be
+//! the oracle. A plain [`Solver::new`] does not certify, and a certifying
+//! solver searches step for step like a plain one.
 //!
 //! # Bounded effort & graceful degradation
 //!
@@ -105,11 +107,12 @@ pub mod chaos;
 pub mod dimacs;
 mod heap;
 mod lit;
+pub mod rup;
 mod solver;
 
 pub use budget::{Budget, CancelToken, Interrupt, InterruptCause};
 pub use lit::{LBool, Lit, Var};
-pub use solver::{Heuristics, SolveResult, Solver, SolverStats, CHRONO_LEVELS, SOLVER_MODERN_ENV};
+pub use solver::{Heuristics, SolveResult, Solver, SolverStats, CHRONO_LEVELS};
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // hole/pigeon indices are semantic

@@ -2,22 +2,18 @@
 //!
 //! A conflict-driven clause-learning SAT solver: two-watched-literal
 //! propagation, first-UIP conflict analysis, exponential VSIDS decision
-//! heuristic with phase saving. It runs one of two fixed engines, chosen
-//! per solver by [`Heuristics`] (`SSC_SOLVER_MODERN`). The modern engine
-//! (the default) adds four refinements to the MiniSat-lineage baseline:
+//! heuristic with phase saving. One fixed engine adds four refinements to
+//! the MiniSat-lineage baseline:
 //!
 //! - **recursive clause minimization** (MiniSat's `ccmin-mode=deep`): a
-//!   DFS over reason clauses with an abstraction-level filter, replacing
-//!   the legacy one-level redundancy pass;
+//!   DFS over reason clauses with an abstraction-level filter;
 //! - **tiered learnt-clause database** (glucose/CaDiCaL lineage): core
 //!   (LBD ≤ 3, never deleted) / mid / local tiers with LBD-driven
-//!   promotion and usage-driven demotion, replacing the single-sweep
-//!   half-deletion;
+//!   promotion and usage-driven demotion;
 //! - **adaptive restarts**: fast/slow LBD moving averages trigger a
 //!   restart when recent conflicts degrade, postponed ("blocked") when
 //!   the trail has grown far past its average — a SAT-leaning probe is
-//!   making assignment progress a restart would throw away — replacing
-//!   blind Luby scheduling;
+//!   making assignment progress a restart would throw away;
 //! - **chronological backtracking** (Nadel & Ryvchin, SAT 2018; Möhle &
 //!   Biere, SAT 2019, CaDiCaL's design): a learnt clause that would
 //!   backjump more than [`CHRONO_LEVELS`] levels backtracks only to the
@@ -39,13 +35,15 @@
 //!     watched positions first; a conflict with a single literal on that
 //!     level is a missed lower implication, re-implied without learning.
 //!
-//! The legacy engine stays reachable as the crosschecks' reference
-//! (`SSC_SOLVER_MODERN=0` pins it, and CI runs the full suite that way).
+//! A solver built by [`Solver::certifying`] also hands every input clause,
+//! learnt clause and conclusive answer to an independent [`rup::Checker`],
+//! which panics on anything it cannot verify.
 
 use crate::budget::{Budget, CancelToken, Interrupt, InterruptCause};
 use crate::chaos;
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
+use crate::rup;
 use std::time::Instant;
 
 /// Reference to a clause in the arena (offset of its header word).
@@ -233,21 +231,23 @@ pub struct SolverStats {
     /// Number of `solve` calls that returned [`SolveResult::Unknown`]
     /// because their [`Budget`] ran out or they were cancelled.
     pub interrupts: u64,
-    /// Number of literals removed from learnt clauses by conflict-clause
-    /// minimization (one-level or recursive, whichever is active).
+    /// Number of literals removed from learnt clauses by recursive
+    /// conflict-clause minimization.
     pub minimized_lits: u64,
     /// Number of learnt clauses promoted to a better tier of the tiered
-    /// database because their recomputed LBD improved (only the tiered
-    /// reducer promotes — zero on the legacy path).
+    /// database because their recomputed LBD improved.
     pub tier_promotions: u64,
     /// Number of adaptive restarts postponed because the trail had grown
     /// far past its running average (the "blocking" half of glucose-style
-    /// restarts; zero under Luby scheduling).
+    /// restarts).
     pub restarts_blocked: u64,
     /// Number of learnt clauses whose backjump spanned more than
     /// [`CHRONO_LEVELS`] levels and so backtracked chronologically, to the
-    /// conflict level − 1 (modern engine only — zero on the legacy path).
+    /// conflict level − 1.
     pub chrono_backtracks: u64,
+    /// Number of `Sat`/`Unsat` answers the proof checker of a
+    /// [`Solver::certifying`] solver accepted; 0 on a plain solver.
+    pub certified: u64,
     /// Always 0: the solver has no vivification pass. Kept only because
     /// `perfbench/src/metrics.rs` reads it.
     pub vivified_clauses: u64,
@@ -277,6 +277,7 @@ impl SolverStats {
             tier_promotions: self.tier_promotions - earlier.tier_promotions,
             restarts_blocked: self.restarts_blocked - earlier.restarts_blocked,
             chrono_backtracks: self.chrono_backtracks - earlier.chrono_backtracks,
+            certified: self.certified - earlier.certified,
             vivified_clauses: self.vivified_clauses - earlier.vivified_clauses,
             subsumed_clauses: self.subsumed_clauses - earlier.subsumed_clauses,
         }
@@ -293,57 +294,18 @@ impl std::fmt::Display for SolverStats {
     }
 }
 
-/// Engine switch: `0`/`off`/`false` pins the MiniSat-lineage legacy
-/// engine, `1`/`on`/`true` the modern one; unset = **modern**.
-pub const SOLVER_MODERN_ENV: &str = "SSC_SOLVER_MODERN";
-
-/// The solver's engine (see the crate-level *CDCL engines* section). Both
-/// engines reach the same verdicts; only the search route differs, so
-/// equivalence tests can pin either one.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// The solver's one engine. Kept only because `perfbench/src/host.rs`
+/// reads it; delete with the next benchmark change.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Heuristics {
-    /// Recursive clause minimization, the tiered learnt database,
-    /// adaptive restarts and chronological backtracking past
-    /// [`CHRONO_LEVELS`], all on (the default). Chronological backtracking
-    /// keeps three invariants (see the module docs): assignment levels
-    /// taken from the reason, level-filtered stable trail compaction on
-    /// backtrack, and conflicts analysed at their own level.
-    #[default]
+    /// The only engine (see the module docs).
     Modern,
-    /// The MiniSat-lineage baseline: one-level minimization, single-sweep
-    /// half-deletion of learnts, Luby restarts and full backjumps.
-    Legacy,
 }
 
 impl Heuristics {
-    /// Parses [`SOLVER_MODERN_ENV`] (`None` = variable unset = modern).
-    ///
-    /// # Errors
-    ///
-    /// Returns `(variable name, offending value)` for anything other than
-    /// `0/off/false/1/on/true`.
-    pub fn parse_env(raw: Option<&str>) -> Result<Heuristics, (&'static str, String)> {
-        match raw {
-            None | Some("1" | "on" | "true") => Ok(Heuristics::Modern),
-            Some("0" | "off" | "false") => Ok(Heuristics::Legacy),
-            Some(bad) => Err((SOLVER_MODERN_ENV, bad.to_string())),
-        }
-    }
-
-    /// The engine from the environment (every [`Solver::new`] starts with
-    /// this; tests and benches pin an engine via [`Solver::set_heuristics`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics — naming the variable and the offending value — on a
-    /// malformed setting: silently falling back to the default would make a
-    /// mistyped CI matrix entry measure the wrong engine.
+    /// Always [`Heuristics::Modern`]: no variable selects the engine.
     pub fn from_env() -> Heuristics {
-        let raw = std::env::var(SOLVER_MODERN_ENV).ok();
-        match Heuristics::parse_env(raw.as_deref()) {
-            Ok(h) => h,
-            Err((var, bad)) => panic!("invalid {var}={bad:?}"),
-        }
+        Heuristics::Modern
     }
 }
 
@@ -407,14 +369,13 @@ pub struct Solver {
     limit_props: u64,
     /// Interrupt cause tripped mid-solve, consumed by the solve loop.
     interrupt: Option<InterruptCause>,
-    /// Active engine (see [`Heuristics`]).
-    heur: Heuristics,
+    /// The proof checker of a [`Solver::certifying`] solver.
+    checker: Option<Box<rup::Checker>>,
 }
 
 const VAR_DECAY: f64 = 0.95;
-const RESTART_BASE: u64 = 128;
 
-/// Longest backjump the modern engine takes in full: a learnt clause that
+/// Longest backjump the solver takes in full: a learnt clause that
 /// would jump back more levels backtracks chronologically instead, to the
 /// conflict level − 1. 100 is the literature default (Nadel & Ryvchin,
 /// SAT 2018; CaDiCaL's `chronolevels`).
@@ -438,14 +399,8 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver running the engine from the environment
-    /// ([`Heuristics::from_env`]).
+    /// Creates an empty solver.
     pub fn new() -> Self {
-        Solver::with_heuristics(Heuristics::from_env())
-    }
-
-    /// Creates an empty solver running an explicit engine.
-    pub fn with_heuristics(heur: Heuristics) -> Self {
         Solver {
             db: ClauseDb::new(),
             clauses: Vec::new(),
@@ -475,26 +430,18 @@ impl Solver {
             limit_conflicts: u64::MAX,
             limit_props: u64::MAX,
             interrupt: None,
-            heur,
+            checker: None,
         }
     }
 
-    /// The active engine.
-    pub fn heuristics(&self) -> Heuristics {
-        self.heur
-    }
-
-    /// Switches the engine. Safe at any point between solves: every
-    /// refinement reads the engine at its own use site, and the per-clause
-    /// tier/usage bookkeeping is maintained under both engines (it is
-    /// cheap), so switching never leaves stale state behind.
-    pub fn set_heuristics(&mut self, heur: Heuristics) {
-        self.heur = heur;
-    }
-
-    #[inline]
-    fn modern(&self) -> bool {
-        self.heur == Heuristics::Modern
+    /// Creates an empty solver that certifies its work: every input clause,
+    /// every learnt clause and every `Sat`/`Unsat` answer goes to an
+    /// independent [`rup::Checker`], which panics on anything it cannot
+    /// verify, and [`SolverStats::certified`] counts the accepted answers.
+    /// The search is the plain solver's, step for step; the checker only
+    /// costs time and memory. Forks carry a copy of the checker.
+    pub fn certifying() -> Self {
+        Solver { checker: Some(Box::default()), ..Solver::new() }
     }
 
     /// Allocates a fresh variable.
@@ -525,7 +472,8 @@ impl Solver {
     /// Forks the solver into an independent snapshot: the clause arena,
     /// learnt database, node-to-watch indices, saved phases, VSIDS
     /// activities and level-0 trail are all carried over, and the two
-    /// solvers diverge freely from here on.
+    /// solvers diverge freely from here on. A certifying solver's fork
+    /// certifies too, against a copy of the parent's checker.
     ///
     /// This is the copy-on-write primitive of shared proof sessions: a base
     /// session encodes the prefix common to a whole scenario portfolio
@@ -586,6 +534,8 @@ impl Solver {
     /// unsatisfiable (empty clause, or conflicting units at level 0).
     ///
     /// Duplicate literals are removed; tautologies are silently accepted.
+    /// A certifying solver's checker gets the clause as given, before the
+    /// level-0 simplification that may rest on learnt units.
     ///
     /// # Panics
     ///
@@ -600,6 +550,11 @@ impl Solver {
         let mut ls: Vec<Lit> = lits.into_iter().collect();
         ls.sort_unstable();
         ls.dedup();
+        if let Some(checker) = &mut self.checker {
+            if !ls.windows(2).any(|w| w[1] == !w[0]) {
+                checker.add_input(&ls);
+            }
+        }
         // Tautology / level-0 simplification.
         let mut simplified: Vec<Lit> = Vec::with_capacity(ls.len());
         let mut prev: Option<Lit> = None;
@@ -854,21 +809,19 @@ impl Solver {
 
         loop {
             debug_assert_ne!(confl, CREF_UNDEF);
-            // Bump matched learnt clauses (freshness heuristic via LBD);
-            // under the tiered DB an improved LBD also promotes the clause
-            // to the tier it now merits, and participating in analysis at
-            // all marks it used (the demotion signal of the next reduce).
+            // Bump matched learnt clauses (freshness heuristic via LBD); an
+            // improved LBD also promotes the clause to the tier it now
+            // merits, and participating in analysis at all marks it used
+            // (the demotion signal of the next reduce).
             if self.db.is_learnt(confl) {
                 self.db.set_used(confl);
                 let lbd = self.compute_lbd(confl);
                 if lbd < self.db.lbd(confl) {
                     self.db.set_lbd(confl, lbd);
-                    if self.modern() {
-                        let t = Self::tier_for_lbd(lbd);
-                        if t < self.db.tier(confl) {
-                            self.db.set_tier(confl, t);
-                            self.stats.tier_promotions += 1;
-                        }
+                    let t = Self::tier_for_lbd(lbd);
+                    if t < self.db.tier(confl) {
+                        self.db.set_tier(confl, t);
+                        self.stats.tier_promotions += 1;
                     }
                 }
             }
@@ -909,28 +862,18 @@ impl Solver {
         }
         learnt[0] = !p.expect("analysis visits at least the UIP");
 
-        // Clause minimization: drop literals implied by the rest — the
-        // recursive (deep) DFS over reason clauses, or the legacy
-        // one-level pass.
+        // Clause minimization: drop literals implied by the rest, by the
+        // recursive (deep) DFS over reason clauses.
         let mut minimized: Vec<Lit> = vec![learnt[0]];
-        if self.modern() {
-            debug_assert!(self.ccmin_clear.is_empty());
-            let mut abstract_levels = 0u32;
-            for &l in &learnt[1..] {
-                abstract_levels |= self.abstract_level(l.var());
-            }
-            for &l in &learnt[1..] {
-                if self.reason[l.var().index()] == CREF_UNDEF
-                    || !self.lit_redundant(l, abstract_levels)
-                {
-                    minimized.push(l);
-                }
-            }
-        } else {
-            for &l in &learnt[1..] {
-                if !self.is_redundant(l) {
-                    minimized.push(l);
-                }
+        debug_assert!(self.ccmin_clear.is_empty());
+        let mut abstract_levels = 0u32;
+        for &l in &learnt[1..] {
+            abstract_levels |= self.abstract_level(l.var());
+        }
+        for &l in &learnt[1..] {
+            if self.reason[l.var().index()] == CREF_UNDEF || !self.lit_redundant(l, abstract_levels)
+            {
+                minimized.push(l);
             }
         }
         self.stats.minimized_lits += (learnt.len() - minimized.len()) as u64;
@@ -1086,26 +1029,6 @@ impl Solver {
         }
     }
 
-    /// A literal is redundant in the learnt clause if its reason clause
-    /// consists only of literals that are already seen (one-level version of
-    /// MiniSat's ccmin).
-    fn is_redundant(&self, l: Lit) -> bool {
-        let r = self.reason[l.var().index()];
-        if r == CREF_UNDEF {
-            return false;
-        }
-        for k in 0..self.db.len(r) {
-            let q = self.db.lit(r, k);
-            if q.var() == l.var() {
-                continue;
-            }
-            if !self.seen[q.var().index()] && self.level[q.var().index()] > 0 {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Computes the assumption core after an assumption `p` was found
     /// falsified (MiniSat's `analyzeFinal`): walks the implication graph
     /// backwards from `¬p`'s assignment and collects every *decision* it
@@ -1190,8 +1113,12 @@ impl Solver {
     /// Installs a learnt clause and enqueues its asserting literal at
     /// `level`, the level of the clause's second literal (0 for a unit).
     /// Returns the clause's LBD (1 for unit learnts), which feeds the
-    /// adaptive-restart averages.
+    /// adaptive-restart averages. A certifying solver's checker checks the
+    /// clause first.
     fn record_learnt(&mut self, lits: Vec<Lit>, level: u32) -> u32 {
+        if let Some(checker) = &mut self.checker {
+            checker.add_lemma(&lits);
+        }
         if lits.len() == 1 {
             self.unchecked_enqueue(lits[0], 0, CREF_UNDEF);
             return 1;
@@ -1199,8 +1126,6 @@ impl Solver {
         let cref = self.db.alloc(&lits, true);
         let lbd = self.compute_lbd(cref);
         self.db.set_lbd(cref, lbd);
-        // Tier bookkeeping is unconditional (one store) so switching
-        // engines mid-life never sees stale tiers.
         self.db.set_tier(cref, Self::tier_for_lbd(lbd));
         self.learnts.push(cref);
         self.stats.learnts = self.learnts.len() as u64;
@@ -1218,52 +1143,13 @@ impl Solver {
         self.reason[v] == c && self.assigns[v] != LBool::Undef
     }
 
-    fn reduce_db(&mut self) {
-        self.stats.db_reductions += 1;
-        if self.modern() {
-            self.reduce_db_tiered();
-        } else {
-            self.reduce_db_legacy();
-        }
-        let db = &self.db;
-        self.learnts.retain(|&c| !db.is_deleted(c));
-        self.stats.learnts = self.learnts.len() as u64;
-        if self.db.wasted * 2 > self.db.data.len() {
-            self.garbage_collect();
-        }
-    }
-
-    /// The legacy single-sweep reducer: sort learnts by LBD descending and
-    /// delete the worse half, keeping glue clauses (LBD <= 2) and locked
-    /// clauses (reason of a trail lit).
-    fn reduce_db_legacy(&mut self) {
-        let mut ranked: Vec<(u32, CRef)> = self
-            .learnts
-            .iter()
-            .map(|&c| (self.db.lbd(c), c))
-            .collect();
-        ranked.sort_unstable_by_key(|&(lbd, _)| std::cmp::Reverse(lbd));
-        let target = ranked.len() / 2;
-        let mut deleted = 0;
-        for (lbd, c) in ranked {
-            if deleted >= target || lbd <= 2 {
-                break;
-            }
-            if self.is_locked(c) {
-                continue;
-            }
-            self.detach(c);
-            self.db.delete(c);
-            deleted += 1;
-        }
-    }
-
     /// The tiered reducer: the core tier (LBD ≤ 3) is never deleted; mid
     /// clauses untouched since the previous reduction demote to local;
     /// the worse (higher-LBD, older on ties) half of the local tier is
     /// deleted, skipping locked clauses. Promotion back up happens in
     /// conflict analysis, where an improved LBD re-tiers the clause.
-    fn reduce_db_tiered(&mut self) {
+    fn reduce_db(&mut self) {
+        self.stats.db_reductions += 1;
         let mut local: Vec<(u32, CRef)> = Vec::new();
         for i in 0..self.learnts.len() {
             let c = self.learnts[i];
@@ -1306,6 +1192,12 @@ impl Solver {
             self.db.delete(c);
             deleted += 1;
         }
+        let db = &self.db;
+        self.learnts.retain(|&c| !db.is_deleted(c));
+        self.stats.learnts = self.learnts.len() as u64;
+        if self.db.wasted * 2 > self.db.data.len() {
+            self.garbage_collect();
+        }
     }
 
     /// Reduces the learnt database and compacts the clause arena *between*
@@ -1314,9 +1206,10 @@ impl Solver {
     /// Long-lived sessions (one solver across an entire UPEC-SSC fixpoint
     /// run) accumulate learnt clauses from hundreds of solves; this hook
     /// lets the owner shed stale learnts at a window boundary without
-    /// discarding the solver. Glue clauses (LBD ≤ 2) and clauses locked as
-    /// level-0 reasons survive, so the call never loses soundness or the
-    /// most valuable lemmas.
+    /// discarding the solver. It runs one reduction of the tiered database:
+    /// core-tier clauses (LBD ≤ 3) and clauses locked as level-0 reasons
+    /// always survive, so the call never loses soundness or the most
+    /// valuable lemmas.
     ///
     /// # Panics
     ///
@@ -1387,23 +1280,6 @@ impl Solver {
         }
     }
 
-    /// Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-    fn luby(x: u64) -> u64 {
-        let mut size = 1u64;
-        let mut seq = 0u64;
-        while size < x + 1 {
-            seq += 1;
-            size = 2 * size + 1;
-        }
-        let mut x = x;
-        while size - 1 != x {
-            size = (size - 1) >> 1;
-            seq -= 1;
-            x %= size;
-        }
-        1u64 << seq
-    }
-
     /// Solves the formula under the given assumptions.
     ///
     /// After `Sat`, the model is available via [`Solver::model_value`]. The
@@ -1418,11 +1294,17 @@ impl Solver {
     /// `Sat`/`Unsat`. A budgeted `Unknown` leaves the solver fully valid:
     /// the same call with a larger budget picks up with everything learnt
     /// so far.
+    ///
+    /// # Panics
+    ///
+    /// A [`Solver::certifying`] solver panics if its checker rejects the
+    /// answer.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
         let entry_stats = self.stats;
         self.stats.solves += 1;
         if !self.ok {
             self.core.clear(); // unsat without any assumption
+            self.certify(SolveResult::Unsat, assumptions);
             return SolveResult::Unsat;
         }
         // Fault injection (no-op unless a chaos plan targeting this solve's
@@ -1458,8 +1340,6 @@ impl Solver {
             self.stats.core_seeds += seeds.len() as u64;
             self.core = seeds;
         }
-        let mut restart_count: u64 = 0;
-        let mut conflicts_until_restart = Self::luby(restart_count) * RESTART_BASE;
         let mut conflicts_in_run: u64 = 0;
         // Adaptive-restart state (glucose lineage), all per-solve and
         // purely counter-driven, so schedules are deterministic: a fast
@@ -1470,7 +1350,6 @@ impl Solver {
         // a restart would throw away. During the first `window` conflicts
         // the update rule degenerates to an exact running mean, so the
         // averages need no seed value.
-        let modern = self.modern();
         let mut lbd_fast = 0.0f64;
         let mut lbd_slow = 0.0f64;
         let mut trail_avg = 0.0f64;
@@ -1488,12 +1367,8 @@ impl Solver {
                 self.stats.conflicts += 1;
                 conflicts_in_run += 1;
                 // Under chronological backtracking the conflict may sit
-                // below the decision level; the legacy trail is in order.
-                let (level, single) = if modern {
-                    self.conflict_level(confl)
-                } else {
-                    (self.decision_level(), false)
-                };
+                // below the decision level.
+                let (level, single) = self.conflict_level(confl);
                 if level == 0 {
                     // A sound answer beats an exhausted budget: level-0
                     // conflicts prove unsatisfiability outright.
@@ -1519,9 +1394,9 @@ impl Solver {
                 // Never backtrack past the assumptions that are still valid:
                 // cancel_until handles re-enqueueing since decisions are
                 // re-derived from `assumptions` in the decision phase. A
-                // long backjump of the modern engine only backtracks one
-                // level and asserts out of order (units still go to 0).
-                let target = if modern && learnt.len() > 1 && level - bt_level > CHRONO_LEVELS {
+                // long backjump only backtracks one level and asserts out
+                // of order (units still go to 0).
+                let target = if learnt.len() > 1 && level - bt_level > CHRONO_LEVELS {
                     self.stats.chrono_backtracks += 1;
                     level - 1
                 } else {
@@ -1529,29 +1404,22 @@ impl Solver {
                 };
                 self.cancel_until(target);
                 let lbd = self.record_learnt(learnt, bt_level);
-                if modern {
-                    solve_conflicts += 1;
-                    let fast_n = solve_conflicts.min(LBD_FAST_WINDOW) as f64;
-                    let slow_n = solve_conflicts.min(LBD_SLOW_WINDOW) as f64;
-                    let trail_n = solve_conflicts.min(TRAIL_AVG_WINDOW) as f64;
-                    lbd_fast += (f64::from(lbd) - lbd_fast) / fast_n;
-                    lbd_slow += (f64::from(lbd) - lbd_slow) / slow_n;
-                    trail_avg += (self.trail.len() as f64 - trail_avg) / trail_n;
-                }
+                solve_conflicts += 1;
+                let fast_n = solve_conflicts.min(LBD_FAST_WINDOW) as f64;
+                let slow_n = solve_conflicts.min(LBD_SLOW_WINDOW) as f64;
+                let trail_n = solve_conflicts.min(TRAIL_AVG_WINDOW) as f64;
+                lbd_fast += (f64::from(lbd) - lbd_fast) / fast_n;
+                lbd_slow += (f64::from(lbd) - lbd_slow) / slow_n;
+                trail_avg += (self.trail.len() as f64 - trail_avg) / trail_n;
                 self.var_inc /= VAR_DECAY;
                 if self.learnts.len() as f64 > self.max_learnts {
                     self.reduce_db();
                     self.max_learnts *= 1.3;
                 }
             } else {
-                let restart_due = if modern {
-                    conflicts_in_run >= RESTART_MIN_INTERVAL
-                        && lbd_fast > lbd_slow * RESTART_MARGIN
-                } else {
-                    conflicts_in_run >= conflicts_until_restart
-                };
-                if restart_due && modern && self.trail.len() as f64 > trail_avg * RESTART_BLOCK_MARGIN
-                {
+                let restart_due = conflicts_in_run >= RESTART_MIN_INTERVAL
+                    && lbd_fast > lbd_slow * RESTART_MARGIN;
+                if restart_due && self.trail.len() as f64 > trail_avg * RESTART_BLOCK_MARGIN {
                     // Blocked: the trail is far past its average, i.e. the
                     // search is assignment-heavy (SAT-leaning) and close to
                     // something — postpone, damp the trigger, re-arm only
@@ -1562,14 +1430,10 @@ impl Solver {
                 } else if restart_due {
                     // Restart: keep level-0 trail, redo assumptions.
                     self.stats.restarts += 1;
-                    restart_count += 1;
                     conflicts_in_run = 0;
-                    conflicts_until_restart = Self::luby(restart_count) * RESTART_BASE;
-                    if modern {
-                        // Like glucose clearing its conflict queue: the
-                        // trigger re-arms on fresh degradation only.
-                        lbd_fast = lbd_slow;
-                    }
+                    // Like glucose clearing its conflict queue: the trigger
+                    // re-arms on fresh degradation only.
+                    lbd_fast = lbd_slow;
                     self.cancel_until(0);
                 }
                 // Extend with assumptions first.
@@ -1619,7 +1483,25 @@ impl Solver {
         self.interrupt = None;
         self.limit_conflicts = u64::MAX;
         self.limit_props = u64::MAX;
+        self.certify(result, assumptions);
         result
+    }
+
+    /// Hands a conclusive answer to a certifying solver's checker (a no-op
+    /// on a plain solver): an `Unsat` core must be a subset of
+    /// `assumptions` whose negation is RUP, a `Sat` model must satisfy
+    /// every input clause. Counts the accepted answer.
+    fn certify(&mut self, result: SolveResult, assumptions: &[Lit]) {
+        let Some(checker) = &mut self.checker else { return };
+        match result {
+            SolveResult::Sat => {
+                let model = &self.model;
+                checker.check_model(|l| model[l.var().index()].xor(l.is_neg()) == LBool::True);
+            }
+            SolveResult::Unsat => checker.check_unsat(&self.core, assumptions),
+            SolveResult::Unknown(_) => return,
+        }
+        self.stats.certified += 1;
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
@@ -1642,29 +1524,5 @@ impl Solver {
     /// The value of variable `v` in the most recent model.
     pub fn model_var(&self, v: Var) -> Option<bool> {
         self.model.get(v.index()).and_then(|x| x.as_bool())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn heuristics_parse_env_defaults_and_master() {
-        assert_eq!(Heuristics::parse_env(None), Ok(Heuristics::Modern));
-        for raw in ["1", "on", "true"] {
-            assert_eq!(Heuristics::parse_env(Some(raw)), Ok(Heuristics::Modern), "{raw}");
-        }
-        for raw in ["0", "off", "false"] {
-            assert_eq!(Heuristics::parse_env(Some(raw)), Ok(Heuristics::Legacy), "{raw}");
-        }
-    }
-
-    #[test]
-    fn heuristics_parse_env_rejects_junk_naming_the_var() {
-        for raw in ["yes", "On", "2", ""] {
-            let err = Heuristics::parse_env(Some(raw)).unwrap_err();
-            assert_eq!(err, (SOLVER_MODERN_ENV, raw.to_string()));
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! answer), interrupts are deterministic for the counter-based causes, and
 //! an interrupted solver stays fully usable.
 
-use ssc_sat::{Budget, CancelToken, Heuristics, InterruptCause, SolveResult, Solver, Var};
+use ssc_sat::{Budget, CancelToken, InterruptCause, SolveResult, Solver, Var};
 use std::time::{Duration, Instant};
 
 /// PHP(pigeons, holes): unsatisfiable for pigeons > holes, and hard enough
@@ -161,25 +161,27 @@ fn interrupt_during_level0_propagation_keeps_the_queue() {
     // consequences are propagated at level 0 inside the solve, where a
     // propagation budget can stop them halfway. The literals left in the
     // queue must still be propagated by the next solve: a clause whose two
-    // watches both fall among them is never visited otherwise.
-    for heur in [Heuristics::Modern, Heuristics::Legacy] {
-        for budget in 1..=40 {
-            let mut s = Solver::with_heuristics(heur);
-            let [x0, a, b, x1, x2] = [(); 5].map(|()| s.new_var());
-            for (sa, sb) in [(false, false), (false, true), (true, false), (true, true)] {
-                s.add_clause([x0.pos(), a.lit(sa), b.lit(sb)]);
-            }
-            s.add_clause([x0.neg(), x1.pos()]);
-            s.add_clause([x0.neg(), x2.neg()]);
-            s.add_clause([x1.neg(), x2.pos()]);
-            s.set_budget(Budget::unlimited().with_propagations(budget));
-            let first = s.solve(&[]);
-            assert!(
-                matches!(first, SolveResult::Unsat | SolveResult::Unknown(_)),
-                "{heur:?}, budget {budget}: {first:?}"
-            );
-            s.set_budget(Budget::unlimited());
-            assert_eq!(s.solve(&[]), SolveResult::Unsat, "{heur:?}, budget {budget}");
+    // watches both fall among them is never visited otherwise. The solver
+    // certifies, so an Unsat answer resting on a dropped queue is rejected
+    // as well.
+    for budget in 1..=40 {
+        let mut s = Solver::certifying();
+        let [x0, a, b, x1, x2] = [(); 5].map(|()| s.new_var());
+        for (sa, sb) in [(false, false), (false, true), (true, false), (true, true)] {
+            s.add_clause([x0.pos(), a.lit(sa), b.lit(sb)]);
         }
+        s.add_clause([x0.neg(), x1.pos()]);
+        s.add_clause([x0.neg(), x2.neg()]);
+        s.add_clause([x1.neg(), x2.pos()]);
+        s.set_budget(Budget::unlimited().with_propagations(budget));
+        let first = s.solve(&[]);
+        assert!(
+            matches!(first, SolveResult::Unsat | SolveResult::Unknown(_)),
+            "budget {budget}: {first:?}"
+        );
+        s.set_budget(Budget::unlimited());
+        assert_eq!(s.solve(&[]), SolveResult::Unsat, "budget {budget}");
+        let st = s.stats();
+        assert_eq!(st.certified, st.solves - st.interrupts, "budget {budget}");
     }
 }

@@ -1,12 +1,12 @@
 //! Solver-level regression corpus: committed DIMACS instances with known
-//! verdicts, driven through `ssc_sat::dimacs` under **both** CDCL engines.
-//! The proof stack's crosschecks pin verdict equivalence end-to-end; this
-//! harness pins it at the solver boundary, where an engine bug would first
-//! appear — and on SAT instances it also checks the returned model against
-//! the clause list, so a bug that merely *preserved satisfiability* while
-//! breaking model soundness would be caught here.
+//! verdicts, solved by a certifying solver. Each answer must match the
+//! expected verdict, and the RUP checker must accept it: every learnt
+//! clause and every Unsat answer is RUP, every model satisfies the
+//! clauses. On SAT instances the returned model is also checked against
+//! the parsed clause list, so a bug that merely *preserved
+//! satisfiability* while breaking model soundness would be caught here.
 
-use ssc_sat::{dimacs, Heuristics, SolveResult, Solver};
+use ssc_sat::{dimacs, SolveResult, Solver};
 
 /// `(file name, DIMACS text, expected satisfiable)`. The expectation is
 /// encoded in the file name prefix; `include_str!` keeps the harness
@@ -23,37 +23,38 @@ const CORPUS: &[(&str, &str, bool)] = &[
     ("unsat_xor_cycle7.cnf", include_str!("corpus/unsat_xor_cycle7.cnf"), false),
 ];
 
-fn run(name: &str, src: &str, want_sat: bool, heur: Heuristics) {
+fn run(name: &str, src: &str, want_sat: bool) {
     let problem = dimacs::parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let (mut solver, _, ok) = dimacs::load(&problem);
-    solver.set_heuristics(heur);
-    let got = ok
-        && match solver.solve(&[]) {
-            SolveResult::Sat => true,
-            SolveResult::Unsat => false,
-            SolveResult::Unknown(int) => panic!("{name}: unbudgeted solve interrupted: {int:?}"),
-        };
-    assert_eq!(got, want_sat, "{name} under {heur:?}");
+    let mut solver = Solver::certifying();
+    solver.new_vars(problem.num_vars);
+    for clause in &problem.clauses {
+        solver.add_clause(clause.iter().copied());
+    }
+    let got = match solver.solve(&[]) {
+        SolveResult::Sat => true,
+        SolveResult::Unsat => false,
+        SolveResult::Unknown(int) => panic!("{name}: unbudgeted solve interrupted: {int:?}"),
+    };
+    assert_eq!(got, want_sat, "{name}");
+    assert_eq!(solver.stats().certified, 1, "{name}: the answer was not certified");
     if got {
-        model_satisfies(name, &solver, &problem, heur);
+        model_satisfies(name, &solver, &problem);
     }
 }
 
-fn model_satisfies(name: &str, solver: &Solver, problem: &dimacs::DimacsProblem, heur: Heuristics) {
+fn model_satisfies(name: &str, solver: &Solver, problem: &dimacs::DimacsProblem) {
     for (i, clause) in problem.clauses.iter().enumerate() {
         assert!(
             clause.iter().any(|&l| solver.model_value(l) == Some(true)),
-            "{name} under {heur:?}: model violates clause {i}: {clause:?}"
+            "{name}: model violates clause {i}: {clause:?}"
         );
     }
 }
 
 #[test]
-fn corpus_verdicts_under_both_engines() {
+fn corpus_verdicts_are_certified() {
     for &(name, src, want_sat) in CORPUS {
-        for heur in [Heuristics::Legacy, Heuristics::Modern] {
-            run(name, src, want_sat, heur);
-        }
+        run(name, src, want_sat);
     }
 }
 

@@ -1,4 +1,5 @@
-//! Property-based solver validation: random CNFs against brute force.
+//! Property-based solver validation: random CNFs against brute force, on
+//! certifying solvers, so the RUP checker also accepts every answer.
 
 use proptest::prelude::*;
 use ssc_sat::{Lit, SolveResult, Solver, Var};
@@ -34,16 +35,16 @@ proptest! {
             .map(|c| c.into_iter().map(|(v, s)| (v % n_vars, s)).collect())
             .collect();
 
-        let mut solver = Solver::new();
+        let mut solver = Solver::certifying();
         let vars: Vec<Var> = (0..n_vars).map(|_| solver.new_var()).collect();
-        let mut trivially_unsat = false;
         for c in &clauses {
             let lits: Vec<Lit> = c.iter().map(|&(v, neg)| vars[v].lit(neg)).collect();
-            if !solver.add_clause(lits) {
-                trivially_unsat = true;
-            }
+            solver.add_clause(lits);
         }
-        let got = if trivially_unsat { SolveResult::Unsat } else { solver.solve(&[]) };
+        // A clause set found Unsat while adding is answered Unsat by
+        // `solve`, and certified like any other answer.
+        let got = solver.solve(&[]);
+        prop_assert_eq!(solver.stats().certified, 1);
         let want = if brute_force_sat(n_vars, &clauses) {
             SolveResult::Sat
         } else {
@@ -72,7 +73,7 @@ proptest! {
             .into_iter()
             .map(|c| c.into_iter().map(|(v, s)| (v % n_vars, s)).collect())
             .collect();
-        let mut solver = Solver::new();
+        let mut solver = Solver::certifying();
         let vars: Vec<Var> = (0..n_vars).map(|_| solver.new_var()).collect();
         let mut ok = true;
         for c in &clauses {
@@ -84,7 +85,9 @@ proptest! {
             .iter()
             .map(|&(v, neg)| vars[v % n_vars].lit(neg))
             .collect();
-        if solver.solve(&assumptions) == SolveResult::Sat {
+        let result = solver.solve(&assumptions);
+        prop_assert_eq!(solver.stats().certified, 1);
+        if result == SolveResult::Sat {
             for a in &assumptions {
                 prop_assert_eq!(solver.model_value(*a), Some(true), "assumption {} violated", a);
             }
