@@ -9,7 +9,12 @@
 //! - [`lower`]: one-cycle lowering of a netlist — given AIG literals for
 //!   every leaf (inputs, register outputs, memory words) it produces the
 //!   values of all combinational signals plus next-state functions,
-//! - [`cnf`]: Tseitin transformation into a [`ssc_sat::Solver`].
+//! - [`cnf`]: gate-level Tseitin transformation into a
+//!   [`ssc_sat::Solver`]. MUX/XOR gates and single-fanout AND trees get
+//!   one variable each; a variable is owned by every node asked for, every
+//!   input in its cone and every fan-in of an encoded gate, but not by the
+//!   ANDs inside a gate (see [`cnf`]). [`Aig`] keeps the fan-out counts
+//!   the tree rule reads.
 //!
 //! # Example
 //!
@@ -110,6 +115,9 @@ pub(crate) enum AigNode {
 #[derive(Clone, Debug)]
 pub struct Aig {
     nodes: Vec<AigNode>,
+    /// Node id → number of AND gates that take it as a fan-in. The CNF
+    /// encoder folds single-fanout AND trees into one variable.
+    fanout: Vec<u32>,
     inputs: Vec<u32>,
     /// Structural-hash table; Fx-hashed because this lookup dominates gate
     /// construction (one probe per [`Aig::and`]).
@@ -125,7 +133,12 @@ impl Default for Aig {
 impl Aig {
     /// Creates an AIG containing only the constant node.
     pub fn new() -> Self {
-        Aig { nodes: vec![AigNode::Const], inputs: Vec::new(), strash: FxHashMap::default() }
+        Aig {
+            nodes: vec![AigNode::Const],
+            fanout: vec![0],
+            inputs: Vec::new(),
+            strash: FxHashMap::default(),
+        }
     }
 
     /// Total number of nodes (constant + inputs + AND gates).
@@ -148,6 +161,7 @@ impl Aig {
         let idx = self.nodes.len() as u32;
         let pos = self.inputs.len() as u32;
         self.nodes.push(AigNode::Input(pos));
+        self.fanout.push(0);
         self.inputs.push(idx);
         AigRef::new(idx, false)
     }
@@ -180,6 +194,9 @@ impl Aig {
         }
         let idx = self.nodes.len() as u32;
         self.nodes.push(AigNode::And(x, y));
+        self.fanout.push(0);
+        self.fanout[x.node() as usize] += 1;
+        self.fanout[y.node() as usize] += 1;
         self.strash.insert((x.0, y.0), idx);
         AigRef::new(idx, false)
     }
@@ -263,6 +280,11 @@ impl Aig {
 
     pub(crate) fn node_kind(&self, idx: u32) -> &AigNode {
         &self.nodes[idx as usize]
+    }
+
+    /// Number of AND gates that take node `idx` as a fan-in.
+    pub(crate) fn fanout(&self, idx: u32) -> u32 {
+        self.fanout[idx as usize]
     }
 }
 

@@ -332,6 +332,9 @@ fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
 }
 
 /// One iteration's statistics, with the solver counters of its check.
+/// `encoded_nodes` and `encoded_delta` count AIG nodes that own a solver
+/// variable (see [`IterationStat::encoded_nodes`]), not every AIG node in
+/// the encoded cones.
 fn iteration(it: &IterationStat) -> Json {
     let s = &it.solver;
     obj([

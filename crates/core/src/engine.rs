@@ -438,7 +438,7 @@ impl<'p> SessionPrefix<'p> {
         self.shared.window()
     }
 
-    /// Cumulative count of CNF-encoded AIG nodes (see
+    /// Cumulative count of AIG nodes that own a solver variable (see
     /// [`Ipc::encoded_nodes`]).
     pub fn encoded_nodes(&self) -> usize {
         self.ipc.encoded_nodes()
@@ -818,7 +818,7 @@ impl<'p> Session<'p> {
         std::mem::take(&mut self.goal_disjuncts)
     }
 
-    /// Cumulative count of CNF-encoded AIG nodes (see
+    /// Cumulative count of AIG nodes that own a solver variable (see
     /// [`Ipc::encoded_nodes`]); deltas of this counter prove the per-window
     /// encoding work of the incremental engine is bounded by the newly
     /// unrolled cycle's cone.
@@ -1078,7 +1078,8 @@ impl<'p> Session<'p> {
 
     /// After a violated check: the atoms of `set` that genuinely diverge at
     /// time `t` under the model (range-guarded words that fall inside the
-    /// protected range are not counted).
+    /// protected range are not counted). `set` is the check's goal set at
+    /// `t` or a subset of it, whose words the model has values for.
     pub fn extract_diffs(&self, set: &AtomSet, t: usize) -> Vec<AtomDiff> {
         let prot = self
             .prefix
@@ -1089,10 +1090,21 @@ impl<'p> Session<'p> {
         for &atom in set {
             let wa = self.atom_word(Instance::A, atom, t);
             let wb = self.atom_word(Instance::B, atom, t);
-            let (Ok(va), Ok(vb)) =
-                (self.prefix.ipc.model_word(&wa), self.prefix.ipc.model_word(&wb))
-            else {
-                continue;
+            let ipc = &self.prefix.ipc;
+            let (va, vb) = match (ipc.model_word(&wa), ipc.model_word(&wb)) {
+                (Ok(va), Ok(vb)) => (va, vb),
+                (ra, rb) => {
+                    // A goal atom's words are fan-ins of its encoded
+                    // equality gates, so they own variables; only words
+                    // that are one AIG word in both instances, and so
+                    // cannot diverge, may go unread here.
+                    debug_assert!(
+                        wa == wb,
+                        "{} at t = {t} is unreadable ({ra:?}, {rb:?}): a divergence would be lost",
+                        self.an.atom_name(atom)
+                    );
+                    continue;
+                }
             };
             if va == vb {
                 continue;

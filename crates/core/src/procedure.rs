@@ -365,14 +365,53 @@ impl UpecAnalysis {
     /// discharges the soundness obligation of assuming them on the symbolic
     /// starting state (paper Sec. 3.4's invariant methodology).
     ///
+    /// Runs [`UpecAnalysis::prove_constraints_inductive_in_session`] in a
+    /// private one-transition session, built only when the spec has such a
+    /// constraint.
+    ///
     /// # Errors
     ///
     /// Returns the names of registers whose constraint is not inductive.
     pub fn prove_constraints_inductive(&self) -> Result<(), Vec<String>> {
+        use crate::spec::FirmwareConstraint;
+
+        let none = !self
+            .spec()
+            .constraints
+            .iter()
+            .any(|c| matches!(c, FirmwareConstraint::RegOutsideDevice { .. }));
+        if none {
+            return Ok(());
+        }
+        self.prove_constraints_inductive_in_session(&mut Session::new(self, 1))
+    }
+
+    /// [`UpecAnalysis::prove_constraints_inductive`] inside an **existing**
+    /// session, such as a fork of a shared or certifying
+    /// [`crate::SessionPrefix`] bound with [`Session::with_prefix`]. The
+    /// obligations are checked over the session's first transition, under
+    /// its window-1 standing assumptions; a session with a window of 0 is
+    /// grown to 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns the names of registers whose constraint is not inductive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sess` was created for a different analysis.
+    pub fn prove_constraints_inductive_in_session(
+        &self,
+        sess: &mut Session<'_>,
+    ) -> Result<(), Vec<String>> {
         use crate::engine::Instance;
         use crate::spec::FirmwareConstraint;
         use ssc_aig::words;
 
+        assert!(
+            std::ptr::eq(sess.analysis(), self),
+            "session belongs to a different analysis"
+        );
         let regs: Vec<(String, u64, u64)> = self
             .spec()
             .constraints
@@ -387,7 +426,6 @@ impl UpecAnalysis {
         if regs.is_empty() {
             return Ok(());
         }
-        let mut sess = Session::new(self, 1);
         let assumptions = sess.base_assumptions(1);
         let mut failing = Vec::new();
         for (reg, mask, device) in regs {

@@ -129,9 +129,11 @@ pub struct IterationStat {
     pub removed: usize,
     /// Wall-clock time of the solver call.
     pub runtime: Duration,
-    /// Total CNF-encoded AIG nodes after this iteration's check.
+    /// AIG nodes that own a solver variable after this iteration's check
+    /// (`ssc_aig::cnf::CnfEncoder::encoded_nodes`; the ANDs inside an
+    /// encoded MUX/XOR gate or AND tree own none).
     pub encoded_nodes: usize,
-    /// AIG nodes newly encoded *by* this iteration.
+    /// Growth of [`IterationStat::encoded_nodes`] *during* this iteration.
     ///
     /// For the incremental engine this is the per-window proof obligation
     /// of the persistent-session architecture: growth is bounded by the

@@ -5,8 +5,10 @@
 //! Unsat core is RUP, each model satisfies the clauses. Verdicts must be
 //! the known ones, patched cells must end at the known |S|, and every
 //! Vulnerable counterexample must replay on the concrete simulator. The
-//! checker must not steer the search: at 8 words a plain run gives the
-//! same trajectory, counter for counter.
+//! patched cells' firmware-constraint obligations are proved on forks of
+//! the same prefix, and their answers are certified too. The checker must
+//! not steer the search: at 8 words a plain run gives the same trajectory,
+//! counter for counter.
 //!
 //! The second half pins the resource-governance paths: budget interrupts
 //! and the `ExhaustBudget`/`Cancel` chaos faults must still surface as
@@ -42,8 +44,9 @@ fn scenario_specs() -> Vec<(&'static str, UpecSpec, bool)> {
 }
 
 /// Runs Alg. 2 on every scenario at `words` in forks of one prefix, built
-/// certifying or plain. Asserts each verdict kind and replays each
-/// Vulnerable counterexample on the simulator.
+/// certifying or plain. Asserts each verdict kind, replays each
+/// Vulnerable counterexample on the simulator, and proves each patched
+/// cell's firmware constraints inductive in another fork.
 fn run_matrix(words: u32, certifying: bool) -> Vec<(&'static str, Verdict)> {
     let soc = Soc::build(SocConfig::verification_sized(words, words));
     let seed = UpecSpec::soc_vulnerable();
@@ -63,6 +66,18 @@ fn run_matrix(words: u32, certifying: bool) -> Vec<(&'static str, Verdict)> {
             if let Err(e) = replay_on_simulator(&an, &r.cex) {
                 panic!("{name}@{words}: {e}");
             }
+        }
+        if !leaky {
+            // The soundness obligation of the patched cells' firmware
+            // constraints, on a fork of the same prefix.
+            let mut sess = Session::with_prefix(&an, prefix.fork());
+            if let Err(e) = an.prove_constraints_inductive_in_session(&mut sess) {
+                panic!("{name}@{words}: constraints not inductive: {e:?}");
+            }
+            let s = sess.solver_stats();
+            assert!(s.solves > 0, "{name}@{words}: no constraint obligation was solved");
+            let want = if certifying { s.solves - s.interrupts } else { 0 };
+            assert_eq!(s.certified, want, "{name}@{words}: constraint answers certified");
         }
         cells.push((name, v));
     }

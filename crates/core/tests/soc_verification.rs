@@ -24,18 +24,24 @@ fn vulnerable_soc_is_flagged_by_alg1() {
 
 #[test]
 fn vulnerable_soc_is_flagged_by_alg2_with_explicit_trace() {
-    let soc = verification_soc();
-    let an = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_vulnerable()).unwrap();
-    let verdict = an.alg2();
-    assert!(verdict.is_vulnerable(), "expected vulnerable, got {verdict}");
-    if let Verdict::Vulnerable(r) = &verdict {
+    for words in [8, 12, 16] {
+        let soc = Soc::build(SocConfig::verification_sized(words, words));
+        let an = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_vulnerable()).unwrap();
+        let verdict = an.alg2();
+        let Verdict::Vulnerable(r) = &verdict else {
+            panic!("{words} words: expected vulnerable, got {verdict}");
+        };
         // The explicit counterexample must show a protected victim access in
         // exactly one instance — the confidential behaviour being spied on.
-        let asym = r.cex.trace.iter().any(|c| {
-            (c.port_a.protected && !c.port_b.protected)
-                || (!c.port_a.protected && c.port_b.protected)
-        });
-        assert!(asym, "explicit trace must contain an asymmetric protected access:\n{}", r.cex);
+        let asym = r.cex.trace.iter().any(|c| c.port_a.protected != c.port_b.protected);
+        assert!(
+            asym,
+            "{words} words: explicit trace must contain an asymmetric protected access:\n{}",
+            r.cex
+        );
+        if let Err(e) = replay_on_simulator(&an, &r.cex) {
+            panic!("{words} words: {e}\n{}", r.cex);
+        }
     }
 }
 

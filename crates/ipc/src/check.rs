@@ -143,7 +143,9 @@ impl<'n> Ipc<'n> {
         self.solver.stats()
     }
 
-    /// Number of AIG nodes Tseitin-encoded into the solver so far.
+    /// Number of AIG nodes that own a solver variable so far (see
+    /// [`CnfEncoder::encoded_nodes`]: the ANDs inside an encoded MUX/XOR
+    /// gate or AND tree own none and are not counted).
     ///
     /// Growth of this counter between two checks bounds the encoding work
     /// the second check performed — the quantity the incremental UPEC-SSC
@@ -276,9 +278,12 @@ impl<'n> Ipc<'n> {
     ///
     /// # Errors
     ///
-    /// - [`ModelError::NotEncoded`]: the word (or part of it) never entered
-    ///   the solver — it was not mentioned by any assumption/goal and
-    ///   [`Ipc::ensure_encoded`] was not called before the check,
+    /// - [`ModelError::NotEncoded`]: a bit of the word owns no solver
+    ///   variable. Either it was not mentioned by any assumption/goal and
+    ///   [`Ipc::ensure_encoded`] was not called before the check, or it is
+    ///   an AND inside an encoded gate: a mentioned word can read
+    ///   `NotEncoded` too (see [`ssc_aig::cnf`] for which nodes own a
+    ///   variable; [`Ipc::ensure_encoded`] gives the word's bits their own),
     /// - [`ModelError::NotInModel`]: the word was encoded only *after* the
     ///   violated check, so the stored model predates its variables.
     pub fn model_word(&self, word: &[AigRef]) -> Result<u64, ModelError> {

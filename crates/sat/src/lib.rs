@@ -119,26 +119,37 @@ pub use solver::{Heuristics, SolveResult, Solver, SolverStats, CHRONO_LEVELS};
 mod tests {
     use super::*;
 
+    /// Every conclusive answer `s` gave was certified by its RUP checker.
+    /// The tests run certifying solvers, so a learning or core bug fails
+    /// them even where the answer happens to come out right.
+    fn assert_certified(s: &Solver) {
+        let st = s.stats();
+        assert!(st.solves > 0, "nothing was solved");
+        assert_eq!(st.certified, st.solves - st.interrupts, "an answer went uncertified");
+    }
+
     fn all_clauses_satisfied(s: &Solver, clauses: &[Vec<Lit>]) -> bool {
         clauses.iter().all(|c| c.iter().any(|&l| s.model_value(l) == Some(true)))
     }
 
     #[test]
     fn empty_formula_is_sat() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert_certified(&s);
     }
 
     #[test]
     fn empty_clause_is_unsat() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         assert!(!s.add_clause([]));
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
+        assert_certified(&s);
     }
 
     #[test]
     fn unit_propagation_chain() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let vars = s.new_vars(10);
         s.add_clause([vars[0].pos()]);
         for w in vars.windows(2) {
@@ -148,21 +159,23 @@ mod tests {
         for v in &vars {
             assert_eq!(s.model_var(*v), Some(true));
         }
+        assert_certified(&s);
     }
 
     #[test]
     fn conflicting_units_unsat() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let a = s.new_var();
         assert!(s.add_clause([a.pos()]));
         assert!(!s.add_clause([a.neg()]));
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
+        assert_certified(&s);
     }
 
     #[test]
     fn xor_chain_sat() {
         // x0 ^ x1 = 1, x1 ^ x2 = 1, ... forces alternation.
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let vars = s.new_vars(8);
         for w in vars.windows(2) {
             // a ^ b: (a|b) & (~a|~b)
@@ -174,13 +187,14 @@ mod tests {
         for (i, v) in vars.iter().enumerate() {
             assert_eq!(s.model_var(*v), Some(i % 2 == 0));
         }
+        assert_certified(&s);
     }
 
     #[test]
     fn pigeonhole_4_into_3_unsat() {
         // PHP(4,3): 4 pigeons, 3 holes. Classic hard UNSAT instance that
         // exercises learning and backjumping.
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let p: Vec<Vec<Var>> = (0..4).map(|_| s.new_vars(3)).collect();
         for pigeon in &p {
             s.add_clause(pigeon.iter().map(|v| v.pos()));
@@ -194,11 +208,12 @@ mod tests {
         }
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
         assert!(s.stats().conflicts > 0);
+        assert_certified(&s);
     }
 
     #[test]
     fn pigeonhole_3_into_3_sat() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let p: Vec<Vec<Var>> = (0..3).map(|_| s.new_vars(3)).collect();
         let mut clauses: Vec<Vec<Lit>> = Vec::new();
         for pigeon in &p {
@@ -216,11 +231,12 @@ mod tests {
         }
         assert_eq!(s.solve(&[]), SolveResult::Sat);
         assert!(all_clauses_satisfied(&s, &clauses));
+        assert_certified(&s);
     }
 
     #[test]
     fn assumptions_flip_outcome() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause([a.pos(), b.pos()]);
@@ -228,11 +244,12 @@ mod tests {
         assert_eq!(s.solve(&[a.neg()]), SolveResult::Sat);
         assert_eq!(s.model_var(b), Some(true));
         assert_eq!(s.solve(&[a.pos(), b.pos()]), SolveResult::Sat);
+        assert_certified(&s);
     }
 
     #[test]
     fn incremental_clause_addition() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause([a.pos(), b.pos()]);
@@ -242,26 +259,29 @@ mod tests {
         assert_eq!(s.model_var(b), Some(true));
         s.add_clause([b.neg()]);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
+        assert_certified(&s);
     }
 
     #[test]
     fn tautology_and_duplicates_handled() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let a = s.new_var();
         let b = s.new_var();
         assert!(s.add_clause([a.pos(), a.neg()])); // tautology: dropped
         assert!(s.add_clause([b.pos(), b.pos(), b.pos()])); // dedup to unit
         assert_eq!(s.solve(&[]), SolveResult::Sat);
         assert_eq!(s.model_var(b), Some(true));
+        assert_certified(&s);
     }
 
     #[test]
     fn duplicate_assumptions_ok() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause([a.neg(), b.pos()]);
         assert_eq!(s.solve(&[a.pos(), a.pos(), b.pos()]), SolveResult::Sat);
+        assert_certified(&s);
     }
 
     #[test]
@@ -298,24 +318,20 @@ mod tests {
                 break;
             }
             // CDCL.
-            let mut s = Solver::new();
+            // A clause set found Unsat while adding is answered by `solve`
+            // too, so the checker certifies it.
+            let mut s = Solver::certifying();
             s.new_vars(n);
-            let mut trivially_unsat = false;
             for c in &clauses {
-                if !s.add_clause(c.iter().copied()) {
-                    trivially_unsat = true;
-                }
+                s.add_clause(c.iter().copied());
             }
-            let got = if trivially_unsat {
-                SolveResult::Unsat
-            } else {
-                s.solve(&[])
-            };
+            let got = s.solve(&[]);
             let want = if brute_sat { SolveResult::Sat } else { SolveResult::Unsat };
             assert_eq!(got, want, "round {round}: clauses {clauses:?}");
             if got == SolveResult::Sat {
                 assert!(all_clauses_satisfied(&s, &clauses), "model check round {round}");
             }
+            assert_certified(&s);
         }
     }
 
@@ -326,7 +342,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let n = 200;
         let m = 600; // ratio 3.0: almost surely SAT
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         s.new_vars(n);
         let clauses: Vec<Vec<Lit>> = (0..m)
             .map(|_| {
@@ -341,6 +357,7 @@ mod tests {
         if s.solve(&[]) == SolveResult::Sat {
             assert!(all_clauses_satisfied(&s, &clauses));
         }
+        assert_certified(&s);
     }
 
     #[test]
@@ -348,7 +365,7 @@ mod tests {
         // A sequence of solves under assumptions with interleaved GC calls
         // must keep verdicts consistent: PHP(5,5) is satisfiable, but
         // blocking one hole via assumptions turns it into PHP(5,4).
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let p: Vec<Vec<Var>> = (0..5).map(|_| s.new_vars(5)).collect();
         for pigeon in &p {
             s.add_clause(pigeon.iter().map(|v| v.pos()));
@@ -369,11 +386,12 @@ mod tests {
         assert_eq!(s.solve(&[]), SolveResult::Sat);
         let st = s.stats();
         assert_eq!(st.solves, 4);
+        assert_certified(&s);
     }
 
     #[test]
     fn stats_are_populated() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let p: Vec<Vec<Var>> = (0..5).map(|_| s.new_vars(4)).collect();
         for pigeon in &p {
             s.add_clause(pigeon.iter().map(|v| v.pos()));
@@ -390,13 +408,14 @@ mod tests {
         assert!(st.conflicts > 0);
         assert!(st.decisions > 0);
         assert!(st.propagations > 0);
+        assert_certified(&s);
     }
 
     #[test]
     fn assumption_core_names_the_responsible_assumptions() {
         // a ∧ (a → b) makes ¬b unsat; c is irrelevant and must not appear
         // in the core.
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let (a, b, c) = (s.new_var(), s.new_var(), s.new_var());
         s.add_clause([a.neg(), b.pos()]);
         assert_eq!(s.solve(&[c.pos(), a.pos(), b.neg()]), SolveResult::Unsat);
@@ -404,34 +423,37 @@ mod tests {
         assert!(core.contains(&b.neg()), "the falsified assumption is in the core");
         assert!(core.contains(&a.pos()), "the implying assumption is in the core");
         assert!(!core.contains(&c.pos()), "irrelevant assumptions stay out");
+        assert_certified(&s);
     }
 
     #[test]
     fn complementary_assumptions_form_a_two_literal_core() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let (a, b) = (s.new_var(), s.new_var());
         let _ = b;
         assert_eq!(s.solve(&[a.pos(), a.neg()]), SolveResult::Unsat);
         let mut core = s.assumption_core().to_vec();
         core.sort_unstable();
         assert_eq!(core, vec![a.pos(), a.neg()]);
+        assert_certified(&s);
     }
 
     #[test]
     fn unconditionally_unsat_formula_has_empty_core() {
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let (a, b) = (s.new_var(), s.new_var());
         s.add_clause([a.pos()]);
         s.add_clause([a.neg()]);
         assert_eq!(s.solve(&[b.pos()]), SolveResult::Unsat);
         assert!(s.assumption_core().is_empty(), "no assumption was needed");
+        assert_certified(&s);
     }
 
     #[test]
     fn core_extraction_survives_learnt_clauses() {
         // Unsat discovered only after conflict-driven learning: the core
         // must still be a subset of the assumptions implying the conflict.
-        let mut s = Solver::new();
+        let mut s = Solver::certifying();
         let p: Vec<Vec<Var>> = (0..4).map(|_| s.new_vars(3)).collect();
         for pigeon in &p {
             s.add_clause(pigeon.iter().map(|v| v.pos()));
@@ -452,5 +474,6 @@ mod tests {
                 "core literal {l:?} is not one of the assumptions"
             );
         }
+        assert_certified(&s);
     }
 }

@@ -10,6 +10,12 @@
 //! Address generators bump within the device window
 //! ([`crate::bus::bump_in_device`]), so a DMA configured for a device can
 //! never wander into another one mid-transfer.
+//!
+//! The DMA sits on the public RAM crossbar only, and `Soc::build` gates its
+//! port with the public RAM's device select ([`crate::bus::sel_pub`]), as it
+//! does the CPU and HWPE ports. A transfer whose source or destination lies
+//! outside the public window is never granted: the DMA stays busy at that
+//! word and reads or writes no RAM word.
 
 use ssc_netlist::{Bv, Netlist, RegHandle, StateMeta, Wire};
 

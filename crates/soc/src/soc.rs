@@ -131,17 +131,21 @@ impl Soc {
         let dma_b = DmaBuilder::new(&mut n, "dma");
         let hwpe_b = HwpeBuilder::new(&mut n, "hwpe");
 
+        let dma_pub_sel = sel_pub(&mut n, dma_b.port.addr);
         let hwpe_pub_sel = sel_pub(&mut n, hwpe_b.port.addr);
         let hwpe_priv_sel = sel_priv(&mut n, hwpe_b.port.addr);
 
         // ---------------- Crossbars ----------------------------------------
+        // Every master reaches a RAM only through that RAM's device select:
+        // the crossbar decodes the word index alone, so an ungated request
+        // outside the window would alias onto a RAM word.
         let cpu_on_pub = cpu_port.gated(&mut n, cpu_pub);
-        let dma_port = dma_b.port;
+        let dma_on_pub = dma_b.port.gated(&mut n, dma_pub_sel);
         let hwpe_on_pub = hwpe_b.port.gated(&mut n, hwpe_pub_sel);
         let pub_x = sram_xbar(
             &mut n,
             "pub_xbar",
-            &[cpu_on_pub, dma_port, hwpe_on_pub],
+            &[cpu_on_pub, dma_on_pub, hwpe_on_pub],
             cfg.pub_words,
             StateMeta::memory(true),
         );
@@ -231,7 +235,7 @@ impl Soc {
 mod tests {
     use super::*;
     use crate::addr;
-    use ssc_netlist::analysis;
+    use ssc_netlist::{analysis, Bv};
     use ssc_sim::Sim;
 
     #[test]
@@ -297,6 +301,49 @@ mod tests {
         // Read it back.
         sim.set_input(port_names::WE, 0);
         assert_eq!(sim.peek_name(port_names::RDATA).val(), 5);
+    }
+
+    /// Starts a 2-word DMA copy from `src` to public RAM word 4 over the
+    /// free port, with public RAM word 1 holding `0xDEAD`, and runs 64
+    /// cycles. Returns public RAM words 0..8 and the DMA busy flag.
+    fn dma_copy_to_pub_word_4(src: u64) -> (Vec<u64>, u64) {
+        let v = Soc::verification_view();
+        let mut sim = Sim::new(&v.netlist).unwrap();
+        sim.set_mem_word(v.pub_ram, 1, Bv::new(32, 0xDEAD));
+        sim.set_input(port_names::REQ, 1);
+        sim.set_input(port_names::WE, 1);
+        for (reg, value) in [
+            (addr::DMA_SRC, src),
+            (addr::DMA_DST, addr::PUB_RAM_BASE + 16),
+            (addr::DMA_LEN, 2),
+            (addr::DMA_CTRL, 1),
+        ] {
+            sim.set_input(port_names::ADDR, reg);
+            sim.set_input(port_names::WDATA, value);
+            sim.step();
+        }
+        sim.set_input(port_names::REQ, 0);
+        sim.set_input(port_names::WE, 0);
+        for _ in 0..64 {
+            sim.step();
+        }
+        let words = (0..8).map(|i| sim.read_mem(v.pub_ram, i).val()).collect();
+        (words, sim.peek_name("dma_busy").val())
+    }
+
+    #[test]
+    fn dma_with_source_outside_the_public_window_never_writes_public_ram() {
+        // Control: a source inside the window copies words 1 and 2.
+        let (words, busy) = dma_copy_to_pub_word_4(addr::PUB_RAM_BASE + 4);
+        assert_eq!((words[4], busy), (0xDEAD, 0), "in-window copy: {words:x?}");
+        // Same word index in the private RAM, an unmapped device and the
+        // APB: the read is never granted, so nothing is copied and the DMA
+        // stays busy. An ungated port aliased each onto public word 1.
+        for src in [addr::PRIV_RAM_BASE + 4, 0x4000_0004, addr::APB_BASE + 4] {
+            let (words, busy) = dma_copy_to_pub_word_4(src);
+            assert_eq!(words, [0, 0xDEAD, 0, 0, 0, 0, 0, 0], "source {src:#x} reached public RAM");
+            assert_eq!(busy, 1, "source {src:#x}: the DMA must stall");
+        }
     }
 
     #[test]
