@@ -26,6 +26,15 @@
 //! until they are asked for as roots, which encodes them on their own.
 //! Everything the model is read for — state and input words — is either a
 //! root or a fan-in of an encoded gate.
+//!
+//! A 2-safety proof session adds a difference layer (see
+//! `upec_ssc::difference`): for every AND node `x_a` of one product
+//! instance paired with its twin `x_b` in the other, it encodes
+//! `XOR(x_a, x_b)`. Each paired node is then a fan-in of an XOR gate and
+//! owns a variable, also where it sat inside a gate before. Encoded on its
+//! own, such a node is a tree that stops at fan-ins that own variables
+//! already; the layer encodes fan-in pairs first, so most paired ANDs
+//! become plain three-clause ANDs over their paired fan-ins.
 
 use crate::{Aig, AigNode, AigRef};
 use ssc_sat::{Lit, Solver, Var};

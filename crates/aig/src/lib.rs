@@ -278,6 +278,18 @@ impl Aig {
         refs.iter().map(|r| vals[r.node() as usize] ^ r.is_compl()).collect()
     }
 
+    /// The two fan-ins of `r`'s node in their stored order, if it is an
+    /// AND gate (the complement bit of `r` itself is ignored); `None` for
+    /// an input or the constant. Fan-ins are stored by ascending reference,
+    /// so two gates built the same way over leaves created in the same
+    /// order list theirs in the same order and pair up by position.
+    pub fn fanins(&self, r: AigRef) -> Option<[AigRef; 2]> {
+        match *self.node_kind(r.node()) {
+            AigNode::And(a, b) => Some([a, b]),
+            AigNode::Const | AigNode::Input(_) => None,
+        }
+    }
+
     pub(crate) fn node_kind(&self, idx: u32) -> &AigNode {
         &self.nodes[idx as usize]
     }
@@ -353,6 +365,18 @@ mod tests {
         let mut g = Aig::new();
         assert_eq!(g.and_all([]), AigRef::TRUE);
         assert_eq!(g.or_all([]), AigRef::FALSE);
+    }
+
+    #[test]
+    fn fanins_of_twin_gates_pair_up_by_position() {
+        let mut g = Aig::new();
+        let [a0, a1, b0, b1] = [(); 4].map(|_| g.input());
+        let xa = g.and(a1, a0.not());
+        let xb = g.and(b1, b0.not());
+        assert_eq!(g.fanins(xa), Some([a0.not(), a1]));
+        assert_eq!(g.fanins(xb.not()), Some([b0.not(), b1]));
+        assert_eq!(g.fanins(a0), None);
+        assert_eq!(g.fanins(AigRef::TRUE), None);
     }
 
     #[test]

@@ -22,11 +22,18 @@
 //!   (copy-on-write session forking via [`Ipc::fork`]), and
 //!   [`Session::with_prefix`] binds a fork to one scenario by adding only
 //!   the scenario's own assumptions on top.
+//!
+//! A session also carries the difference layer of each cycle the
+//! procedures have grown it to (see [`crate::difference`]): implied
+//! clauses over `XOR(x_a, x_b)` node pairs, so that unit propagation
+//! proves "equal fan-ins give an equal output" for every gate of the two
+//! instances. A prefix never has one: [`SessionPrefix::build`] stays the
+//! shared, layer-free set-up, and forks add the layer per cell.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ssc_aig::fx::FxHashMap;
+use ssc_aig::fx::{FxHashMap, FxHashSet};
 use ssc_aig::words::{self, Word};
 use ssc_aig::AigRef;
 use ssc_ipc::{Ipc, PropertyResult};
@@ -34,6 +41,7 @@ use ssc_netlist::{ImportMap, MemId, Netlist, Node, Wire};
 use ssc_sat::Lit;
 
 use crate::atoms::{self, AtomSet, StateAtom};
+use crate::difference::{self, DifferenceLayer};
 use crate::report::{AtomDiff, CexCycle, Counterexample, PortActivity};
 use crate::spec::{DeviceMap, FirmwareConstraint, IpPort, UpecSpec, VictimPort};
 
@@ -170,6 +178,23 @@ impl ProductArtifact {
             Instance::A => &self.map_a,
             Instance::B => &self.map_b,
         }
+    }
+
+    /// The source netlist's primary inputs other than the victim port's,
+    /// with their names. `Primary_Input_Constraints` only makes them equal
+    /// in both instances; the solver picks their values.
+    fn free_inputs(&self) -> Vec<(Wire, &str)> {
+        let p = self.port_src;
+        let port = [p.req.id(), p.addr.id(), p.we.id(), p.wdata.id()];
+        self.src
+            .iter_nodes()
+            .filter_map(|(id, node)| match node {
+                Node::Input { name, .. } if !port.contains(&id) => {
+                    Some((self.src.wire_of(id), name.as_str()))
+                }
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -341,6 +366,8 @@ pub struct SessionPrefix<'p> {
     eq_terms: FxHashMap<(StateAtom, usize), AigRef>,
     /// The atom universe whose equality terms are pre-built per time step.
     universe: AtomSet,
+    /// Cycles whose difference layer is in the solver (cycles `0..n`).
+    diff_cycles: usize,
 }
 
 impl std::fmt::Debug for SessionPrefix<'_> {
@@ -411,6 +438,7 @@ impl<'p> SessionPrefix<'p> {
             shared: Ledger::default(),
             eq_terms: FxHashMap::default(),
             universe: atoms::not_victim_atoms(&art.src),
+            diff_cycles: 0,
         };
         let inv = p.alignment_validity();
         p.push_shared_block(inv);
@@ -430,6 +458,7 @@ impl<'p> SessionPrefix<'p> {
             shared: self.shared.clone(),
             eq_terms: self.eq_terms.clone(),
             universe: self.universe.clone(),
+            diff_cycles: self.diff_cycles,
         }
     }
 
@@ -476,6 +505,37 @@ impl<'p> SessionPrefix<'p> {
         for atom in atoms {
             let term = self.atom_eq_term(atom, t);
             let _ = self.ipc.lit_of(term);
+        }
+    }
+
+    /// See [`Session::difference_layer`].
+    fn difference_layer(&mut self, cycle: usize) -> DifferenceLayer {
+        assert!(cycle < self.window(), "cycle {cycle} is outside the window");
+        let mut roots = Vec::new();
+        for &atom in &self.universe {
+            let a = self.atom_word(Instance::A, atom, cycle + 1);
+            let b = self.atom_word(Instance::B, atom, cycle + 1);
+            roots.extend(a.into_iter().zip(b));
+        }
+        let mut leaves = FxHashSet::default();
+        for atom in atoms::all_atoms(&self.art.src) {
+            for inst in [Instance::A, Instance::B] {
+                leaves.extend(self.atom_word(inst, atom, cycle).iter().map(|r| r.node()));
+            }
+        }
+        difference::layer(self.ipc.unroller_mut().aig_mut(), &roots, &leaves)
+    }
+
+    /// Adds the difference layer of every cycle below `window` that the
+    /// solver lacks, each clause as an implied clause
+    /// ([`Ipc::add_implied_clause`]).
+    fn ensure_difference_layer(&mut self, window: usize) {
+        while self.diff_cycles < window {
+            let layer = self.difference_layer(self.diff_cycles);
+            for c in &layer.clauses {
+                self.ipc.add_implied_clause(&c.lits, &c.splits);
+            }
+            self.diff_cycles += 1;
         }
     }
 
@@ -555,21 +615,7 @@ impl<'p> SessionPrefix<'p> {
     /// `Primary_Input_Constraints` at `cycle`: all non-port inputs equal
     /// between the instances.
     pub fn input_eq(&mut self, cycle: usize) -> Vec<AigRef> {
-        let port = [
-            self.art.port_src.req.id(),
-            self.art.port_src.addr.id(),
-            self.art.port_src.we.id(),
-            self.art.port_src.wdata.id(),
-        ];
-        let inputs: Vec<Wire> = self
-            .art
-            .src
-            .iter_nodes()
-            .filter_map(|(id, node)| match node {
-                Node::Input { .. } if !port.contains(&id) => Some(self.art.src.wire_of(id)),
-                _ => None,
-            })
-            .collect();
+        let inputs: Vec<Wire> = self.art.free_inputs().into_iter().map(|(w, _)| w).collect();
         let mut out = Vec::new();
         for w in inputs {
             let a = self.input_word(Instance::A, w, cycle);
@@ -766,6 +812,33 @@ impl<'p> Session<'p> {
             let block = self.firmware_port_assumptions(cycle);
             self.push_scenario_block(block);
         }
+    }
+
+    /// Grows the window to `window` transitions and adds the difference
+    /// layer of every cycle below it that the session does not have yet
+    /// (see [`crate::difference`]). Alg. 1 and the incremental Alg. 2 call
+    /// it when they first grow a session to a cycle, before the check;
+    /// nothing else does, so prefixes, constraint obligations and
+    /// [`UpecAnalysis::alg2_fresh_baseline`] stay layer-free. The clauses
+    /// are implied by the AIG, so no check's answer can change; a
+    /// certifying session derives each one before the solver gets it.
+    pub(crate) fn ensure_difference_layer(&mut self, window: usize) {
+        self.ensure_window(window);
+        self.prefix.ensure_difference_layer(window);
+    }
+
+    /// The difference layer of `cycle` (see [`crate::difference`]): walks
+    /// instance `a`'s and `b`'s copies of the cycle in pairs, from every
+    /// `S_not_victim` atom's bits at `cycle + 1` down to the state bits at
+    /// `cycle` and the cycle's inputs, and builds each pair's XOR node in
+    /// the AIG. Nothing enters the solver: Alg. 1 and Alg. 2 add the
+    /// clauses through [`Ipc::add_implied_clause`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is not below the window.
+    pub fn difference_layer(&mut self, cycle: usize) -> DifferenceLayer {
+        self.prefix.difference_layer(cycle)
     }
 
     /// Appends one block of scenario assumptions, encoding each literal.
@@ -1132,6 +1205,7 @@ impl<'p> Session<'p> {
     pub fn capture_cex(&self, diffs: Vec<AtomDiff>, at_cycle: usize, window: usize) -> Counterexample {
         let prot = self.prefix.ipc.model_word(&self.prefix.prot_word()).unwrap_or(0);
         let p = self.an.art.port_src;
+        let free = self.an.art.free_inputs();
         let mut trace = Vec::new();
         for c in 0..window {
             let get = |s: &Self, inst, w| {
@@ -1150,7 +1224,15 @@ impl<'p> Session<'p> {
                     protected: req && (addr & self.an.spec.range_mask) == prot,
                 }
             };
-            trace.push(CexCycle { cycle: c, port_a: act(self, Instance::A), port_b: act(self, Instance::B) });
+            // Equal in both instances under `Primary_Input_Constraints`.
+            let inputs =
+                free.iter().map(|&(w, name)| (name.to_string(), get(self, Instance::A, w))).collect();
+            trace.push(CexCycle {
+                cycle: c,
+                port_a: act(self, Instance::A),
+                port_b: act(self, Instance::B),
+                inputs,
+            });
         }
         // Initial state of both instances for concrete replay, read bit by
         // bit: a word whose high bits lie outside the check's cone (say

@@ -44,7 +44,12 @@
 //!   call ([`Session::check_window`]); retiring the literal removes the
 //!   obligation while the learnt-clause database carries over, and
 //!   `ssc_ipc::Ipc::collect_garbage` sheds stale learnt clauses at window
-//!   boundaries.
+//!   boundaries,
+//! - each cycle the procedures grow a session to gets a [`difference`]
+//!   layer: clauses over `XOR(x_a, x_b)` pairs of the two instances'
+//!   gates that let unit propagation prove "equal fan-ins give an equal
+//!   output" instead of the solver searching for it. The AIG implies them,
+//!   and a certifying session derives each one instead of trusting it.
 //!
 //! # Shared artifacts and copy-on-write session forks
 //!
@@ -119,6 +124,7 @@
 #![warn(missing_docs)]
 
 pub mod atoms;
+pub mod difference;
 mod engine;
 mod extensions;
 mod procedure;
@@ -127,6 +133,7 @@ mod report;
 mod spec;
 
 pub use atoms::{AtomSet, PersistencePolicy, StateAtom};
+pub use difference::{DifferenceLayer, ImpliedClause};
 pub use engine::{
     static_prune_from_env, CubeConfig, Instance, ProductArtifact, Session, SessionPrefix,
     UpecAnalysis,

@@ -8,8 +8,15 @@
 //! session may come from a shared per-size prefix fork
 //! ([`UpecAnalysis::alg2_with_session`] — the portfolio entry point) or be
 //! built privately ([`UpecAnalysis::alg2`]); both are state-identical.
-//! [`UpecAnalysis::alg2_fresh_baseline`] keeps the tear-down-per-check
-//! variant alive as a cross-check reference and performance baseline.
+//!
+//! Alg. 1 and the incremental Alg. 2 give each session the difference
+//! layer of every cycle they grow it to, before that cycle's first check
+//! (see [`crate::difference`] and [`Session::difference_layer`]):
+//! implied clauses that let unit propagation prove "equal fan-ins give an
+//! equal output" gate by gate. [`UpecAnalysis::alg2_fresh_baseline`] keeps
+//! the tear-down-per-check variant alive as a cross-check reference and
+//! performance baseline, and is layer-free on purpose: it is the reference
+//! the layered engine's verdicts are compared against.
 
 use std::time::Instant;
 
@@ -89,9 +96,20 @@ impl UpecAnalysis {
     /// window performs the final inductive proof too, so the fixpoint
     /// reuses the 2-cycle prefix encoding and all learnt clauses instead
     /// of rebuilding a solver. The standing assumptions are cached by the
-    /// session and passed as a slice — no per-iteration cloning.
+    /// session and passed as a slice — no per-iteration cloning. Before the
+    /// first check the session gets the difference layer of its first
+    /// cycle ([`Session::difference_layer`]) unless it has it.
     pub fn alg1_in_session(&self, sess: &mut Session<'_>, initial: AtomSet) -> Verdict {
+        self.alg1_run(sess, initial, true)
+    }
+
+    /// Alg. 1 in `sess`, with the difference layer of the first cycle
+    /// added before the first check when `layered`.
+    fn alg1_run(&self, sess: &mut Session<'_>, initial: AtomSet, layered: bool) -> Verdict {
         let start = Instant::now();
+        if layered {
+            sess.ensure_difference_layer(1);
+        }
         let mut s = initial;
         let mut iterations: Vec<IterationStat> = Vec::new();
         let mut removed_atoms: Vec<String> = Vec::new();
@@ -222,7 +240,10 @@ impl UpecAnalysis {
     /// Exists as (a) the semantic cross-check oracle for the incremental
     /// engine — both must produce identical verdicts — and (b) the
     /// performance baseline the `e6_scaling`/`e7_alg1_vs_alg2` experiments
-    /// measure the persistent session against.
+    /// measure the persistent session against. It adds no difference
+    /// layer, its concluding Alg. 1 included, so it stays the layer-free
+    /// reference: a layer clause that changed an answer would show as a
+    /// disagreement.
     pub fn alg2_fresh_baseline(&self) -> Verdict {
         self.alg2_impl(None)
     }
@@ -244,6 +265,9 @@ impl UpecAnalysis {
             }
             let sess = sess_slot.as_mut().expect("session exists in both modes");
             sess.ensure_window(k);
+            if incremental {
+                sess.ensure_difference_layer(k);
+            }
             let snap = IterSnapshot::take(sess);
             let set_size = s[k].len();
             let result = if incremental {
@@ -281,7 +305,7 @@ impl UpecAnalysis {
                         let tail = if incremental {
                             self.alg1_in_session(sess, s[k].clone())
                         } else {
-                            self.alg1_from(s[k].clone())
+                            self.alg1_run(&mut Session::new(self, 1), s[k].clone(), false)
                         };
                         return merge_alg2_result(tail, iterations, start);
                     }

@@ -2,9 +2,10 @@
 //! concrete simulator.
 //!
 //! A UPEC-SSC counterexample consists of a (previously symbolic) starting
-//! state for both product instances plus per-cycle victim-port inputs. This
-//! module pokes that state into two [`ssc_sim::Sim`] instances of the
-//! *single* design, drives the recorded port activity, steps the recorded
+//! state for both product instances plus per-cycle victim-port inputs and
+//! the values of every other primary input. This module pokes that state
+//! into two [`ssc_sim::Sim`] instances of the *single* design, drives the
+//! recorded port activity and inputs, steps the recorded
 //! number of cycles, and confirms that the reported state divergences
 //! appear concretely — closing the loop between the SAT-level model and
 //! the RTL simulation semantics.
@@ -71,6 +72,10 @@ pub fn replay_on_simulator(
         }
         drive(&mut sim_a, &c.port_a);
         drive(&mut sim_b, &c.port_b);
+        for (name, value) in &c.inputs {
+            sim_a.set_input(name, *value);
+            sim_b.set_input(name, *value);
+        }
         sim_a.step();
         sim_b.step();
     }
@@ -268,6 +273,10 @@ pub fn replay_neighborhood(
         };
         drive(&mut sim_a, &c.port_a);
         drive(&mut sim_b, &c.port_b);
+        for (name, value) in &c.inputs {
+            sim_a.set_input(name, *value);
+            sim_b.set_input(name, *value);
+        }
         sim_a.step();
         sim_b.step();
     }

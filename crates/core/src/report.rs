@@ -44,6 +44,10 @@ pub struct CexCycle {
     pub port_a: PortActivity,
     /// Victim port of instance B.
     pub port_b: PortActivity,
+    /// Every other primary input by name, with its value in this cycle,
+    /// which is the same in both instances. The model may set these too,
+    /// so a replay drives them.
+    pub inputs: Vec<(String, u64)>,
 }
 
 /// A complete counterexample to the UPEC-SSC property.
@@ -101,6 +105,11 @@ impl fmt::Display for Counterexample {
                 u8::from(c.port_b.we),
                 u8::from(c.port_b.protected),
             )?;
+            if !c.inputs.is_empty() {
+                let inputs: Vec<String> =
+                    c.inputs.iter().map(|(name, v)| format!("{name}={v:#x}")).collect();
+                writeln!(f, "    inputs: {}", inputs.join(" "))?;
+            }
         }
         for d in &self.diffs {
             writeln!(

@@ -10,6 +10,9 @@
 //! not steer the search: at 8 words a plain run gives the same trajectory,
 //! counter for counter.
 //!
+//! At 16 words the matrix runs on plain sessions, with the same verdict,
+//! replay and |S| checks.
+//!
 //! The second half pins the resource-governance paths: budget interrupts
 //! and the `ExhaustBudget`/`Cancel` chaos faults must still surface as
 //! clean `Inconclusive` verdicts while the adaptive-restart/tiered-reduction
@@ -155,6 +158,17 @@ fn every_answer_is_certified_at_8_words_and_the_search_is_unchanged() {
 #[test]
 fn every_answer_is_certified_at_12_words() {
     certified_matrix(12, 50);
+}
+
+/// The largest matrix size, on plain sessions: verdict kinds, replay of
+/// both leaky cells (in `run_matrix`), and |S| = 58 on both patched cells.
+#[test]
+fn plain_matrix_at_16_words() {
+    for (name, v) in run_matrix(16, false) {
+        if let Verdict::Secure(r) = &v {
+            assert_eq!(r.final_set_size, 58, "{name}@16: |S|");
+        }
+    }
 }
 
 /// The chaos registry is a process global; the chaos tests in this binary

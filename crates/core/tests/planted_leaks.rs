@@ -147,3 +147,40 @@ fn victim_range_words_are_exempt() {
         "writes confined to the protected range must not be flagged: {verdict}"
     );
 }
+
+/// A latch the victim port writes only while a non-port input `ext` is
+/// high: `r.next = (ext & req) ? wdata : r`. Every counterexample needs
+/// `ext = 1`, which `Primary_Input_Constraints` leaves free (it is only
+/// equal in both instances), so a replay that drives `ext` at 0 shows no
+/// divergence.
+#[test]
+fn counterexample_needing_a_non_port_input_replays() {
+    let mut n = Netlist::new("ext_gated_latch");
+    let req = n.input("cpu.dport_req", 1);
+    let _addr = n.input("cpu.dport_addr", 32);
+    let _we = n.input("cpu.dport_we", 1);
+    let wdata = n.input("cpu.dport_wdata", 32);
+    let ext = n.input("ext", 1);
+    let r = n.reg("r", 32, Some(Bv::zero(32)), StateMeta::ip_register());
+    let enable = n.and(ext, req);
+    let next = n.mux(enable, wdata, r.wire());
+    n.connect_reg(r, next);
+    n.mark_output("r", r.wire());
+    n.check().unwrap();
+
+    let spec = UpecSpec { devices: vec![], range_in_device: None, ..tiny_spec() };
+    let an = UpecAnalysis::new(&n, spec).unwrap();
+    let upec_ssc::Verdict::Vulnerable(report) = an.alg2() else {
+        panic!("the latch leaks the victim's write data");
+    };
+    let cex = &report.cex;
+    assert!(cex.diffs.iter().any(|d| d.name == "r"), "{cex}");
+    let driven = &cex.trace[..cex.at_cycle];
+    assert!(
+        driven.iter().all(|c| c.inputs == [("ext".to_string(), 1)]),
+        "the trace must record `ext` = 1 in every driven cycle: {cex}"
+    );
+    upec_ssc::replay_on_simulator(&an, cex).expect("replay drives `ext`");
+    let lanes = upec_ssc::replay_neighborhood(&an, cex).expect("the exact lane replays");
+    assert_eq!(lanes.diverging & 1, 1);
+}

@@ -1,7 +1,10 @@
 //! Property-based coverage of the engine on randomly wired register
 //! designs: whatever the topology, Alg. 2 on a certifying prefix must have
-//! every conclusive solver answer accepted by the RUP checker, and every
-//! Vulnerable counterexample must replay on the concrete simulator.
+//! every conclusive solver answer and every difference-layer clause
+//! accepted by the RUP checker, and every Vulnerable counterexample must
+//! replay on the concrete simulator. The layers' clauses must also hold
+//! under AIG evaluation, and leave the verdict of the layer-free reference
+//! unchanged.
 //!
 //! Designs are generated from a seeded xorshift stream (the proptest shim
 //! supplies the seeds), mixing port-fed, register-fed, mux-arbitrated and
@@ -121,12 +124,48 @@ fn certified_run(seed: u64) -> Verdict {
     v
 }
 
+/// The difference layers of `seed`'s design over two cycles: every clause
+/// holds under `Aig::eval` on random input vectors. Then Alg. 2, which adds
+/// the layers to its session, must reach the verdict kind and final |S| of
+/// the layer-free fresh-session reference.
+fn layered_run(seed: u64) {
+    let n = random_design(seed);
+    let an = UpecAnalysis::new(&n, spec()).expect("spec matches the design");
+    let mut sess = Session::new(&an, 2);
+    let mut rng = XorShift(seed.rotate_left(17) | 1);
+    for cycle in 0..2 {
+        let layer = sess.difference_layer(cycle);
+        let lits: Vec<_> = layer.clauses.iter().flat_map(|c| c.lits.iter().copied()).collect();
+        let aig = sess.ipc().unroller().aig();
+        for _ in 0..8 {
+            let inputs: Vec<bool> = (0..aig.num_inputs()).map(|_| rng.next() & 1 == 1).collect();
+            let mut values = aig.eval(&inputs, &lits).into_iter();
+            for c in &layer.clauses {
+                let holds = c.lits.iter().fold(false, |any, _| values.next().unwrap() | any);
+                assert!(holds, "seed {seed:#x}, cycle {cycle}: {c:?} is false");
+            }
+        }
+    }
+    let outcome = |v: &Verdict| match v {
+        Verdict::Secure(r) => format!("secure |S| = {}", r.final_set_size),
+        Verdict::Vulnerable(_) => "vulnerable".to_string(),
+        Verdict::Inconclusive(r) => format!("inconclusive {}", r.cause.code()),
+    };
+    let (layered, reference) = (an.alg2(), an.alg2_fresh_baseline());
+    assert_eq!(outcome(&layered), outcome(&reference), "seed {seed:#x}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn answers_are_certified_and_counterexamples_replay_on_random_designs(seed: u64) {
         certified_run(seed);
+    }
+
+    #[test]
+    fn difference_layers_hold_and_keep_the_fresh_reference_verdict(seed: u64) {
+        layered_run(seed);
     }
 }
 

@@ -22,6 +22,9 @@
 //!   vacuously satisfied and the learnt-clause database carries over),
 //! - [`Ipc::check_lits`] — a check over pre-encoded solver literals, for
 //!   callers that manage assumption sets incrementally,
+//! - [`Ipc::add_implied_clause`] — permanent clauses the AIG already
+//!   implies (a proof session's difference clauses), derived rather than
+//!   trusted by a certifying checker,
 //! - [`Ipc::collect_garbage`] — forwards to the solver's between-solve
 //!   clause-database reduction hook,
 //! - [`Ipc::encoded_nodes`] — the cumulative CNF-encoding counter used to
@@ -31,7 +34,7 @@ use ssc_aig::cnf::{CnfEncoder, ModelError};
 use ssc_aig::words::Word;
 use ssc_aig::AigRef;
 use ssc_netlist::{Bv, Netlist};
-use ssc_sat::{Budget, Interrupt, Lit, SolveResult, Solver};
+use ssc_sat::{Budget, Interrupt, Lit, SolveResult, Solver, Var};
 
 use crate::unroll::Unroller;
 
@@ -168,6 +171,22 @@ impl<'n> Ipc<'n> {
     pub fn add_constraint(&mut self, r: AigRef) {
         let lit = self.enc.lit_of(&mut self.solver, self.unroller.aig(), r);
         self.solver.add_clause([lit]);
+    }
+
+    /// Adds the clause `r₁ ∨ … ∨ rₙ`, which the AIG already implies, as a
+    /// permanent clause (see [`ssc_sat::Solver::add_implied_clause`]). On a
+    /// certifying checker the proof checker derives it first, by case
+    /// splits over the variables of `splits`, and panics if it cannot: the
+    /// clause never becomes an input the checker trusts. Both lists are
+    /// encoded on demand on every checker, so certifying and plain
+    /// checkers keep the same clauses.
+    pub fn add_implied_clause(&mut self, refs: &[AigRef], splits: &[AigRef]) {
+        let aig = self.unroller.aig();
+        let lits: Vec<Lit> =
+            refs.iter().map(|&r| self.enc.lit_of(&mut self.solver, aig, r)).collect();
+        let vars: Vec<Var> =
+            splits.iter().map(|&r| self.enc.lit_of(&mut self.solver, aig, r).var()).collect();
+        self.solver.add_implied_clause(lits, &vars);
     }
 
     /// The solver literal for AIG reference `r`, encoding its cone on

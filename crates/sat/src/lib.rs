@@ -56,6 +56,14 @@
 //!   needs the empty clause to be RUP.
 //! - A `Sat` answer's model must satisfy every input clause.
 //!
+//! [`Solver::add_implied_clause`] adds a clause the formula already
+//! implies, such as the difference clauses of a 2-safety proof session.
+//! The solver keeps it as a permanent clause, but the checker never takes
+//! it as an input. It derives the clause first, as RUP lemmas over case
+//! splits on variables the caller names ([`rup::Checker::derive`]), and
+//! panics if that fails. So the checker still trusts only the input
+//! clauses, and an implied clause that is wrong is rejected.
+//!
 //! [`SolverStats::certified`] counts the accepted answers. The crosscheck
 //! tests run certifying solvers where a second solver engine used to be
 //! the oracle. A plain [`Solver::new`] does not certify, and a certifying
@@ -170,6 +178,43 @@ mod tests {
         assert!(!s.add_clause([a.neg()]));
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
         assert_certified(&s);
+    }
+
+    /// z = x ∧ y next to its copy z' = x' ∧ y', with x ↔ x' and y ↔ y'
+    /// under the two equality literals: the implied clause "equal fan-ins
+    /// give equal outputs" is not RUP, but splitting on z derives it.
+    #[test]
+    fn implied_clauses_are_derived_not_trusted() {
+        let build = |s: &mut Solver| {
+            let [x, y, z, x2, y2, z2, ex, ey] = [(); 8].map(|_| s.new_var());
+            for (o, a, b) in [(z, x, y), (z2, x2, y2)] {
+                s.add_clause([o.neg(), a.pos()]);
+                s.add_clause([o.neg(), b.pos()]);
+                s.add_clause([o.pos(), a.neg(), b.neg()]);
+            }
+            for (e, a, b) in [(ex, x, x2), (ey, y, y2)] {
+                s.add_clause([e.neg(), a.neg(), b.pos()]);
+                s.add_clause([e.neg(), a.pos(), b.neg()]);
+            }
+            (z, z2, ex, ey)
+        };
+        let mut plain = Solver::new();
+        let mut s = Solver::certifying();
+        let (z, z2, ex, ey) = build(&mut s);
+        build(&mut plain);
+        for solver in [&mut s, &mut plain] {
+            // ex ∧ ey ∧ z → z2
+            assert!(solver.add_implied_clause([ex.neg(), ey.neg(), z.neg(), z2.pos()], &[z, z2]));
+            assert_eq!(solver.solve(&[ex.pos(), ey.pos(), z.pos(), z2.neg()]), SolveResult::Unsat);
+            assert_eq!(solver.stats().conflicts, 0, "propagation alone refutes");
+            assert_eq!(solver.solve(&[ex.pos(), z.pos(), z2.neg()]), SolveResult::Sat);
+        }
+        assert_certified(&s);
+        // Flipped, the clause is not implied, and the checker panics.
+        let flipped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.add_implied_clause([ex.neg(), ey.neg(), z.neg(), z2.neg()], &[z, z2]);
+        }));
+        assert!(flipped.is_err(), "a clause that is not implied was accepted");
     }
 
     #[test]

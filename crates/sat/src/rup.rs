@@ -16,6 +16,10 @@
 //!   subset of those assumptions, and the clause ¬core must be RUP. An
 //!   empty core asks for the empty clause.
 //! - A **Sat answer**'s model must satisfy every input clause.
+//! - A clause the formula implies but unit propagation does not refute
+//!   ([`Checker::derive`]) enters as lemmas too: case splits over given
+//!   variables break it into RUP lemmas, each checked like a learnt one,
+//!   so an implied clause never becomes an input.
 //!
 //! The checker never deletes a clause. A lemma the solver later deletes
 //! only makes the checker's propagation stronger, and RUP is monotone in
@@ -37,7 +41,7 @@
 //! checker.check_unsat(&[a.neg()], &[a.neg(), b.pos()]);
 //! ```
 
-use crate::lit::Lit;
+use crate::lit::{Lit, Var};
 
 /// Literal values, indexed by [`Lit::index`].
 const UNDEF: i8 = 0;
@@ -107,8 +111,63 @@ impl Checker {
             "rup: lemma {} {clause:?} is not implied by unit propagation",
             self.lemmas + 1
         );
+        self.accept(clause);
+    }
+
+    /// Adds a clause already shown to be RUP as a lemma.
+    fn accept(&mut self, clause: &[Lit]) {
         self.lemmas += 1;
         self.install(clause, None);
+    }
+
+    /// Derives `clause` from the inputs and the earlier lemmas and adds it
+    /// as a lemma. A clause that is not RUP is split on the first variable
+    /// of `splits` that propagating its negation leaves unassigned: the
+    /// clause extended by that variable in each polarity is derived the
+    /// same way, after which the clause itself is RUP. Every lemma on the
+    /// way is RUP when it is added, so `derive` accepts only what the
+    /// clauses imply.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the splits run out before a branch is RUP: always when the
+    /// clauses do not imply `clause`, and also when they do but unit
+    /// propagation over `splits` cannot show it.
+    pub fn derive(&mut self, clause: &[Lit], splits: &[Var]) {
+        for v in splits {
+            self.grow(&[v.pos()]);
+        }
+        let mut branch = clause.to_vec();
+        assert!(
+            self.derive_branch(&mut branch, splits),
+            "rup: {clause:?} is not derived by case splits over {splits:?}"
+        );
+    }
+
+    /// One node of [`Checker::derive`]'s split tree: derives `clause` and
+    /// adds it as a lemma, or returns `false` when the splits run out.
+    fn derive_branch(&mut self, clause: &mut Vec<Lit>, splits: &[Var]) -> bool {
+        self.grow(clause);
+        let mut open = None;
+        if self.under(clause.iter().map(|&l| !l), |c| {
+            open = splits.iter().copied().find(|&v| c.val(v.pos()) == UNDEF);
+        }) {
+            // RUP, as just shown.
+            self.accept(clause);
+            return true;
+        }
+        let Some(v) = open else { return false };
+        for l in [v.pos(), v.neg()] {
+            clause.push(l);
+            let derived = self.derive_branch(clause, splits);
+            clause.pop();
+            if !derived {
+                return false;
+            }
+        }
+        // The two branches are lemmas now, and they resolve to `clause`.
+        self.add_lemma(clause);
+        true
     }
 
     /// Checks an Unsat answer under `assumptions`: every literal of `core`
@@ -190,6 +249,12 @@ impl Checker {
     /// Assigns `lits` on top of the level-0 trail and propagates. Returns
     /// whether that reaches a conflict, and undoes every assignment it made.
     fn refutes(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
+        self.under(lits, |_| {})
+    }
+
+    /// [`Checker::refutes`], handing the checker to `inspect` with the
+    /// propagated assignment in place when it reaches no conflict.
+    fn under(&mut self, lits: impl IntoIterator<Item = Lit>, inspect: impl FnOnce(&Self)) -> bool {
         if self.refuted {
             return true;
         }
@@ -206,6 +271,9 @@ impl Checker {
             }
         }
         let conflict = conflict || self.propagate();
+        if !conflict {
+            inspect(self);
+        }
         for &l in &self.trail[root..] {
             self.value[l.index()] = UNDEF;
             self.value[(!l).index()] = UNDEF;
@@ -326,7 +394,6 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lit::Var;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn lits(v: &[i32]) -> Vec<Lit> {
@@ -439,6 +506,37 @@ mod tests {
         c.check_model(|l| model.contains(&l));
         let bad = lits(&[1, -2]);
         assert!(rejects(|| c.check_model(|l| bad.contains(&l))));
+    }
+
+    /// The four clauses over x1, x2 with x3 positive: they imply (x3),
+    /// but propagating ¬x3 alone finds no unit.
+    fn x3_by_cases() -> Checker {
+        let mut c = Checker::default();
+        for clause in &inputs()[..4] {
+            c.add_input(clause);
+        }
+        c
+    }
+
+    #[test]
+    fn derive_splits_an_implied_clause_into_rup_lemmas() {
+        let var = |i: usize| Var::from_index(i - 1);
+        let mut c = x3_by_cases();
+        assert!(!c.is_rup(&lits(&[3])));
+        // (x3 ∨ x1) and (x3 ∨ ¬x1) are RUP, and then (x3) is.
+        c.derive(&lits(&[3]), &[var(1), var(2)]);
+        assert_eq!(c.lemmas, 3);
+        c.check_unsat(&lits(&[-3]), &lits(&[-3]));
+    }
+
+    #[test]
+    fn derive_rejects_a_clause_the_inputs_do_not_imply() {
+        let var = |i: usize| Var::from_index(i - 1);
+        let all = [var(1), var(2), var(3)];
+        assert!(rejects(|| x3_by_cases().derive(&lits(&[-3]), &all)));
+        assert!(rejects(|| x3_by_cases().derive(&lits(&[1, 2]), &all)));
+        // Implied, but no split is left to show it.
+        assert!(rejects(|| x3_by_cases().derive(&lits(&[3]), &[])));
     }
 
     #[test]

@@ -543,6 +543,38 @@ impl Solver {
     /// (incremental use is supported because `solve` always backtracks to
     /// level 0 before returning).
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
+        self.add_clause_with(lits, |checker, ls| checker.add_input(ls))
+    }
+
+    /// Adds a clause the clauses added so far already imply, as a permanent
+    /// clause like [`Solver::add_clause`]'s. Implied clauses give unit
+    /// propagation facts it would otherwise learn only through conflicts.
+    ///
+    /// A certifying solver's checker does not take the clause as an input:
+    /// it derives it first, as RUP lemmas over case splits on `splits` (see
+    /// [`rup::Checker::derive`]). The search is the same as on a plain
+    /// solver, which ignores `splits`.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Solver::add_clause`]; a certifying solver also panics if its
+    /// checker cannot derive the clause, which it never can when the
+    /// clause is not implied.
+    pub fn add_implied_clause(
+        &mut self,
+        lits: impl IntoIterator<Item = Lit>,
+        splits: &[Var],
+    ) -> bool {
+        self.add_clause_with(lits, |checker, ls| checker.derive(ls, splits))
+    }
+
+    /// Sorts and deduplicates `lits`, hands a non-tautological clause to a
+    /// certifying solver's checker through `certify`, and adds it.
+    fn add_clause_with(
+        &mut self,
+        lits: impl IntoIterator<Item = Lit>,
+        certify: impl FnOnce(&mut rup::Checker, &[Lit]),
+    ) -> bool {
         assert_eq!(self.trail_lim.len(), 0, "add_clause above level 0");
         if !self.ok {
             return false;
@@ -552,7 +584,7 @@ impl Solver {
         ls.dedup();
         if let Some(checker) = &mut self.checker {
             if !ls.windows(2).any(|w| w[1] == !w[0]) {
-                checker.add_input(&ls);
+                certify(checker, &ls);
             }
         }
         // Tautology / level-0 simplification.
