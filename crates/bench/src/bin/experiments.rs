@@ -111,6 +111,18 @@ fn main() {
                 r.runtime
             );
         }
+        // The window-≥2 checks are where Alg. 2 pays beyond Alg. 1.
+        let iterations = c.alg2.verdict.iterations();
+        let deep: Vec<_> = iterations.iter().filter(|it| it.window >= 2).collect();
+        if !deep.is_empty() {
+            println!(
+                "  {:<10}  Alg. 2 window >= 2: {} check(s), {} conflicts, {:?} solving",
+                c.config,
+                deep.len(),
+                deep.iter().map(|it| it.solver.conflicts).sum::<u64>(),
+                deep.iter().map(|it| it.runtime).sum::<std::time::Duration>()
+            );
+        }
     }
 
     hline("E8  Sec. 5 — IFT baseline");

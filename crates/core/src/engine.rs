@@ -733,8 +733,8 @@ pub struct Session<'p> {
     /// Scratch assumption-literal buffer reused across checks.
     lit_buf: Vec<Lit>,
     /// After a `Holds` from [`Session::check_window`]: whether the
-    /// assumption core avoided every pre-state atom-equality assumption
-    /// (`None` after a violated check).
+    /// assumption core avoided every atom-equality assumption, pre-state
+    /// or carried (`None` after a violated check).
     last_core_without_state_eq: Option<bool>,
     /// Atom → epoch of the last refinement that named it
     /// ([`Session::note_shrunk`]); orders the pre-state assumptions
@@ -1066,9 +1066,19 @@ impl<'p> Session<'p> {
     }
 
     /// The incremental UPEC-SSC check: *assume the standing assumptions of
-    /// `window` and `State_Equivalence(pre)` at time 0, prove
+    /// `window`, `State_Equivalence(pre)` at time 0 and
     /// `State_Equivalence(set)` at time `c` for every `(c, set)` in
-    /// `goals`*.
+    /// `proven`, prove `State_Equivalence(set)` at time `c` for every
+    /// `(c, set)` in `goals`*.
+    ///
+    /// `proven` carries equalities an earlier check of the same session
+    /// already proved from `State_Equivalence(pre)` and a subset of this
+    /// window's standing assumptions, as Alg. 2 does with the sets of the
+    /// cycles below its window: every model of this check satisfies them
+    /// anyway, so they change no answer, but the solver no longer has to
+    /// re-derive them. They enter as assumption literals, never as
+    /// clauses, so a certifying session's checker sees them in the core
+    /// of every answer that rests on them.
     ///
     /// The negated goal (some tracked atom diverges at its cycle) is a
     /// disjunction of cached per-atom terms, installed as a clause guarded
@@ -1080,6 +1090,7 @@ impl<'p> Session<'p> {
         &mut self,
         window: usize,
         pre: &AtomSet,
+        proven: &[(usize, &AtomSet)],
         goals: &[(usize, &AtomSet)],
     ) -> PropertyResult {
         self.ensure_window(window);
@@ -1119,11 +1130,21 @@ impl<'p> Session<'p> {
             let lit = self.prefix.ipc.lit_of(term);
             lits.push(lit);
         }
+        // The carried equalities follow the pre-state ones, so they count
+        // as state-equality assumptions for the core flag below.
+        for &(cycle, set) in proven {
+            debug_assert!(cycle < window, "carried cycle outside the window");
+            for &atom in set {
+                let term = self.prefix.atom_eq_term(atom, cycle);
+                let lit = self.prefix.ipc.lit_of(term);
+                lits.push(lit);
+            }
+        }
         lits.push(act);
         let result = self.prefix.ipc.check_lits(&lits);
         self.last_core_without_state_eq = match result {
             PropertyResult::Holds => {
-                // Which pre-state assumptions the proof rested on.
+                // Which atom-equality assumptions the proof rested on.
                 let core = self.prefix.ipc.assumption_core();
                 Some(!lits[pre_start..lits.len() - 1].iter().any(|l| core.contains(l)))
             }
@@ -1137,10 +1158,11 @@ impl<'p> Session<'p> {
     }
 
     /// After a `Holds` from [`Session::check_window`]: `Some(true)` iff
-    /// **no** pre-state atom-equality assumption appears in the solver's
-    /// assumption core — i.e. the window property held independently of
-    /// `State_Equivalence(pre)`, so further refinement of the tracked sets
-    /// cannot change the verdict. `None` if the last check was violated.
+    /// **no** atom-equality assumption, pre-state or carried, appears in
+    /// the solver's assumption core — i.e. the window property held
+    /// independently of `State_Equivalence(pre)` and the carried sets, so
+    /// further refinement of the tracked sets cannot change the verdict.
+    /// `None` if the last check was violated.
     pub fn last_core_without_state_eq(&self) -> Option<bool> {
         self.last_core_without_state_eq
     }

@@ -72,11 +72,13 @@
 //! refinement trajectories, even the encoding counters (asserted by
 //! `tests/incremental_crosscheck.rs`).
 //!
-//! Two re-solve tunings keep consecutive checks of one session fast: the
+//! Three re-solve tunings keep consecutive checks of one session fast: the
 //! solver seeds VSIDS activity from the previous check's assumption core
-//! (`ssc_sat::SolverStats::core_seeds` counts it), and
+//! (`ssc_sat::SolverStats::core_seeds` counts it),
 //! [`Session::check_window`] orders the pre-state equality assumptions
-//! most-recently-shrunk-atoms-first ([`Session::note_shrunk`]).
+//! most-recently-shrunk-atoms-first ([`Session::note_shrunk`]), and a
+//! window-k check of Alg. 2 assumes the state sets of the cycles below k,
+//! which the window-(k-1) check proved, instead of re-deriving them.
 //!
 //! # Bounded effort & graceful degradation
 //!

@@ -13,10 +13,23 @@
 //! layer of every cycle they grow it to, before that cycle's first check
 //! (see [`crate::difference`] and [`Session::difference_layer`]):
 //! implied clauses that let unit propagation prove "equal fan-ins give an
-//! equal output" gate by gate. [`UpecAnalysis::alg2_fresh_baseline`] keeps
-//! the tear-down-per-check variant alive as a cross-check reference and
-//! performance baseline, and is layer-free on purpose: it is the reference
-//! the layered engine's verdicts are compared against.
+//! equal output" gate by gate.
+//!
+//! A window-k check of the incremental Alg. 2 also assumes `S[c]` equal at
+//! every cycle `c < k` (the `proven` argument of [`Session::check_window`]).
+//! The window-(k-1) check proved exactly these equalities from
+//! `State_Equivalence(S[0])` and a subset of window k's standing
+//! assumptions, so every model of the window-k check satisfies them: no
+//! verdict, trajectory or counterexample changes, but the solver stops
+//! re-deriving them (the carried-depth step of incremental BMC and
+//! k-induction; Eén & Sörensson, BMC 2003). They enter as assumption
+//! literals, so a certifying session checks every answer that rests on
+//! them like any other.
+//!
+//! [`UpecAnalysis::alg2_fresh_baseline`] keeps the tear-down-per-check
+//! variant alive as a cross-check reference and performance baseline, and
+//! is layer-free and carries nothing on purpose: it is the reference the
+//! layered engine's verdicts are compared against.
 
 use std::time::Instant;
 
@@ -117,7 +130,7 @@ impl UpecAnalysis {
         loop {
             let snap = IterSnapshot::take(sess);
             let set_size = s.len();
-            let result = sess.check_window(1, &s, &[(1, &s)]);
+            let result = sess.check_window(1, &s, &[], &[(1, &s)]);
 
             match result {
                 PropertyResult::Holds => {
@@ -241,9 +254,10 @@ impl UpecAnalysis {
     /// engine — both must produce identical verdicts — and (b) the
     /// performance baseline the `e6_scaling`/`e7_alg1_vs_alg2` experiments
     /// measure the persistent session against. It adds no difference
-    /// layer, its concluding Alg. 1 included, so it stays the layer-free
-    /// reference: a layer clause that changed an answer would show as a
-    /// disagreement.
+    /// layer, its concluding Alg. 1 included, and assumes no equality a
+    /// previous window proved, so it stays the lemma-free reference: a
+    /// layer clause or a carried equality that changed an answer would
+    /// show as a disagreement.
     pub fn alg2_fresh_baseline(&self) -> Verdict {
         self.alg2_impl(None)
     }
@@ -272,7 +286,12 @@ impl UpecAnalysis {
             let set_size = s[k].len();
             let result = if incremental {
                 let goals: Vec<(usize, &AtomSet)> = (1..=k).map(|c| (c, &s[c])).collect();
-                sess.check_window(k, &s[0], &goals)
+                // The window-(k-1) check proved the goals below cycle k
+                // from `s[0]` and a subset of this window's standing
+                // assumptions. No model of this window diverges there, so
+                // those sets stay as they are, and this check assumes them
+                // instead of re-deriving them.
+                sess.check_window(k, &s[0], &goals[..k - 1], &goals)
             } else {
                 // Baseline goal construction: one monolithic conjunction,
                 // re-encoded from scratch in the fresh session.

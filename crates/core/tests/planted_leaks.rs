@@ -184,3 +184,71 @@ fn counterexample_needing_a_non_port_input_replays() {
     let lanes = upec_ssc::replay_neighborhood(&an, cex).expect("the exact lane replays");
     assert_eq!(lanes.diverging & 1, 1);
 }
+
+/// The victim address enters `bus.t1` and moves one register per cycle
+/// through `bus.t1` … `bus.t<depth>`, which the policy declares transient,
+/// into the persistent `bus.p`. The first persistent divergence is at cycle
+/// `depth + 1`, so Alg. 2 reaches it only by growing its window that far,
+/// assuming at each window the sets of the cycles below, which the window
+/// before shrank.
+fn transient_chain(depth: usize) -> (Netlist, UpecSpec) {
+    let mut n = Netlist::new(format!("transient_chain_{depth}"));
+    let req = n.input("cpu.dport_req", 1);
+    let addr = n.input("cpu.dport_addr", 32);
+    let _we = n.input("cpu.dport_we", 1);
+    let _wdata = n.input("cpu.dport_wdata", 32);
+    let mut spec = UpecSpec { devices: vec![], range_in_device: None, ..tiny_spec() };
+    let mut prev: Option<ssc_netlist::Wire> = None;
+    for i in 1..=depth {
+        let name = format!("bus.t{i}");
+        let r = n.reg(&name, 32, Some(Bv::zero(32)), StateMeta::ip_register());
+        let next = prev.unwrap_or_else(|| n.mux(req, addr, r.wire()));
+        n.connect_reg(r, next);
+        spec.persistence.force_transient.insert(name);
+        prev = Some(r.wire());
+    }
+    let p = n.reg("bus.p", 32, Some(Bv::zero(32)), StateMeta::ip_register());
+    n.connect_reg(p, prev.expect("depth >= 1"));
+    n.mark_output("p", p.wire());
+    n.check().unwrap();
+    (n, spec)
+}
+
+#[test]
+fn leaks_through_transient_chains_need_growing_windows() {
+    for depth in 1..=3 {
+        let (n, spec) = transient_chain(depth);
+        let an = UpecAnalysis::new(&n, spec).unwrap();
+        let upec_ssc::Verdict::Vulnerable(report) = an.alg2() else {
+            panic!("depth {depth}: the chain leaks the victim address into `bus.p`");
+        };
+        let cex = &report.cex;
+        assert_eq!(cex.at_cycle, depth + 1, "depth {depth}: {cex}");
+        assert!(
+            cex.diffs.iter().any(|d| d.name == "bus.p" && d.persistent),
+            "depth {depth}: {cex}"
+        );
+        // One violated and one holding check per window below the leak's,
+        // then the violated check at window `depth + 1`.
+        let windows: Vec<usize> = report.iterations.iter().map(|it| it.window).collect();
+        let expected: Vec<usize> = (1..=depth).flat_map(|w| [w, w]).chain([depth + 1]).collect();
+        assert_eq!(windows, expected, "depth {depth}");
+
+        let upec_ssc::Verdict::Vulnerable(fresh) = an.alg2_fresh_baseline() else {
+            panic!("depth {depth}: the fresh baseline must agree");
+        };
+        let names = |c: &upec_ssc::Counterexample| -> Vec<String> {
+            c.diffs.iter().map(|d| d.name.clone()).collect()
+        };
+        assert_eq!(fresh.cex.at_cycle, cex.at_cycle, "depth {depth}");
+        assert_eq!(names(&fresh.cex), names(cex), "depth {depth}");
+        let fresh_windows: Vec<usize> = fresh.iterations.iter().map(|it| it.window).collect();
+        assert_eq!(fresh_windows, windows, "depth {depth}");
+
+        upec_ssc::replay_on_simulator(&an, cex)
+            .unwrap_or_else(|e| panic!("depth {depth}: replay failed: {e}"));
+        let lanes = upec_ssc::replay_neighborhood(&an, cex)
+            .unwrap_or_else(|e| panic!("depth {depth}: neighbourhood replay failed: {e}"));
+        assert_eq!(lanes.diverging & 1, 1, "depth {depth}");
+    }
+}

@@ -13,7 +13,7 @@ fn vacuous_window_check_is_core_free() {
     // No tracked atoms at all: the obligation is vacuous, so it holds with
     // an assumption core free of state-equality terms.
     let empty = AtomSet::new();
-    let r = sess.check_window(1, &empty, &[(1, &empty)]);
+    let r = sess.check_window(1, &empty, &[], &[(1, &empty)]);
     assert_eq!(r, PropertyResult::Holds);
     assert_eq!(sess.last_core_without_state_eq(), Some(true));
 }
@@ -27,7 +27,7 @@ fn violated_check_clears_the_core_flag() {
     // Mirror the Alg. 1 refinement until the first violated check (the
     // vulnerable configuration guarantees one within the fixpoint).
     for _ in 0..64 {
-        let r = sess.check_window(1, &s, &[(1, &s)]);
+        let r = sess.check_window(1, &s, &[], &[(1, &s)]);
         match r {
             PropertyResult::Violated => {
                 assert_eq!(sess.last_core_without_state_eq(), None);
@@ -61,7 +61,7 @@ fn nonvacuous_hold_reports_a_core_verdict() {
     let mut sess = Session::new(&an, 1);
     let mut s = an.s_not_victim();
     for _ in 0..256 {
-        match sess.check_window(1, &s, &[(1, &s)]) {
+        match sess.check_window(1, &s, &[], &[(1, &s)]) {
             PropertyResult::Holds => {
                 assert_eq!(
                     sess.last_core_without_state_eq(),
@@ -87,4 +87,32 @@ fn nonvacuous_hold_reports_a_core_verdict() {
         }
     }
     panic!("fixpoint did not converge within the iteration bound");
+}
+
+/// The equalities Alg. 2 carries into a window check count as
+/// state-equality assumptions for the core flag. With nothing assumed at
+/// cycle 0, only the fixed configuration's final set, carried at cycle 1,
+/// proves it equal at cycle 2, so the core must name carried literals.
+#[test]
+fn carried_equalities_count_for_the_core_flag() {
+    let soc = ssc_soc::Soc::verification_view();
+    let an = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_fixed()).expect("spec ok");
+    let upec_ssc::Verdict::Secure(report) = an.alg1() else {
+        panic!("the fixed configuration is secure");
+    };
+    let mut fin = an.s_not_victim();
+    fin.retain(|&a| !report.removed_atoms.contains(&an.atom_name(a)));
+    assert_eq!(fin.len(), 42);
+
+    let empty = AtomSet::new();
+    let mut sess = Session::new(&an, 2);
+    let r = sess.check_window(2, &empty, &[(1, &fin)], &[(2, &fin)]);
+    assert_eq!(r, PropertyResult::Holds);
+    assert_eq!(
+        sess.last_core_without_state_eq(),
+        Some(false),
+        "the proof rests on the carried equalities"
+    );
+    let r = sess.check_window(2, &empty, &[], &[(2, &fin)]);
+    assert_eq!(r, PropertyResult::Violated, "without them the set can diverge");
 }
