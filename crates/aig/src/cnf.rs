@@ -28,13 +28,13 @@
 //! root or a fan-in of an encoded gate.
 //!
 //! A 2-safety proof session adds a difference layer (see
-//! `upec_ssc::difference`): for every AND node `x_a` of one product
-//! instance paired with its twin `x_b` in the other, it encodes
-//! `XOR(x_a, x_b)`. Each paired node is then a fan-in of an XOR gate and
-//! owns a variable, also where it sat inside a gate before. Encoded on its
-//! own, such a node is a tree that stops at fan-ins that own variables
-//! already; the layer encodes fan-in pairs first, so most paired ANDs
-//! become plain three-clause ANDs over their paired fan-ins.
+//! `upec_ssc::difference`) that follows these gates. It pairs each node
+//! `x_a` of one product instance with its twin `x_b` in the other, but
+//! encodes `XOR(x_a, x_b)` only for a pair where one of the two already
+//! owns a variable ([`CnfEncoder::owns_var`]). The ANDs inside a gate stay
+//! without one, so paired nodes no longer all own a variable. Where only
+//! one node of a pair owns one, the XOR encodes its twin on its own: a
+//! tree that stops at fan-ins that own variables already.
 
 use crate::{Aig, AigNode, AigRef};
 use ssc_sat::{Lit, Solver, Var};
@@ -131,6 +131,14 @@ impl CnfEncoder {
     /// and after a check bounds how much new encoding work the check cost.
     pub fn encoded_nodes(&self) -> usize {
         self.encoded
+    }
+
+    /// Whether `r`'s node owns a solver variable: it was asked for, or it is
+    /// an input or a gate fan-in in the cone of a node that was. The ANDs
+    /// inside an encoded gate own none (see the [module docs](self)).
+    #[inline]
+    pub fn owns_var(&self, r: AigRef) -> bool {
+        self.lookup(r.node()).is_some()
     }
 
     #[inline]
@@ -230,7 +238,7 @@ impl CnfEncoder {
     /// the fan-ins its gate pushes.
     fn gate(&mut self, aig: &Aig, a: AigRef, b: AigRef) -> Gate {
         self.fanins.clear();
-        if let Some((x, t, e)) = mux_shape(aig, a, b) {
+        if let Some((x, t, e)) = aig.mux_shape(a, b) {
             self.fanins.extend([x, t, e]);
             return Gate::Mux;
         }
@@ -244,7 +252,7 @@ impl CnfEncoder {
                         && !r.is_compl()
                         && aig.fanout(r.node()) == 1
                         && self.lookup(r.node()).is_none()
-                        && mux_shape(aig, c, d).is_none() =>
+                        && aig.mux_shape(c, d).is_none() =>
                 {
                     leaves += 1;
                     self.walk.extend([d, c]);
@@ -303,29 +311,6 @@ impl CnfEncoder {
         }
         Ok(out)
     }
-}
-
-/// `Some((x, t, e))` if `AND(a, b)` is `¬ITE(x, t, e)`: both fan-ins are
-/// complemented ANDs, `a = ¬AND(x, t)` and `b = ¬AND(¬x, e)` (in either
-/// order of `a`, `b` and of each AND's fan-ins).
-fn mux_shape(aig: &Aig, a: AigRef, b: AigRef) -> Option<(AigRef, AigRef, AigRef)> {
-    if !a.is_compl() || !b.is_compl() {
-        return None;
-    }
-    let (AigNode::And(a0, a1), AigNode::And(b0, b1)) =
-        (*aig.node_kind(a.node()), *aig.node_kind(b.node()))
-    else {
-        return None;
-    };
-    [(a0, a1), (a1, a0)].into_iter().find_map(|(x, t)| {
-        if b0 == x.not() {
-            Some((x, t, b1))
-        } else if b1 == x.not() {
-            Some((x, t, b0))
-        } else {
-            None
-        }
-    })
 }
 
 #[cfg(test)]

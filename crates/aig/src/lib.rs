@@ -290,6 +290,31 @@ impl Aig {
         }
     }
 
+    /// `Some((x, t, e))` if `AND(a, b)` is `¬ITE(x, t, e)`: both fan-ins are
+    /// complemented ANDs, `a = ¬AND(x, t)` and `b = ¬AND(¬x, e)` (in either
+    /// order of `a`, `b` and of each AND's fan-ins). XOR and XNOR are the
+    /// case `e = ¬t`. The one MUX matcher of the crate's users: the CNF
+    /// encoder's MUX/XOR gates and the difference layer's select clauses.
+    pub fn mux_shape(&self, a: AigRef, b: AigRef) -> Option<(AigRef, AigRef, AigRef)> {
+        if !a.is_compl() || !b.is_compl() {
+            return None;
+        }
+        let (AigNode::And(a0, a1), AigNode::And(b0, b1)) =
+            (*self.node_kind(a.node()), *self.node_kind(b.node()))
+        else {
+            return None;
+        };
+        [(a0, a1), (a1, a0)].into_iter().find_map(|(x, t)| {
+            if b0 == x.not() {
+                Some((x, t, b1))
+            } else if b1 == x.not() {
+                Some((x, t, b0))
+            } else {
+                None
+            }
+        })
+    }
+
     pub(crate) fn node_kind(&self, idx: u32) -> &AigNode {
         &self.nodes[idx as usize]
     }

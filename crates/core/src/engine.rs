@@ -26,9 +26,12 @@
 //! A session also carries the difference layer of each cycle the
 //! procedures have grown it to (see [`crate::difference`]): implied
 //! clauses over `XOR(x_a, x_b)` node pairs, so that unit propagation
-//! proves "equal fan-ins give an equal output" for every gate of the two
-//! instances. A prefix never has one: [`SessionPrefix::build`] stays the
-//! shared, layer-free set-up, and forks add the layer per cell.
+//! proves "equal fan-ins give an equal output" for every CNF gate of the
+//! two instances. Only pairs where a node already owns a solver variable
+//! get an XOR node; the ANDs inside a MUX/XOR gate or an AND tree stay
+//! transparent, so the layer keeps the gate-level encoding. A prefix never
+//! has one: [`SessionPrefix::build`] stays the shared, layer-free set-up,
+//! and forks add the layer per cell.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -523,7 +526,7 @@ impl<'p> SessionPrefix<'p> {
                 leaves.extend(self.atom_word(inst, atom, cycle).iter().map(|r| r.node()));
             }
         }
-        difference::layer(self.ipc.unroller_mut().aig_mut(), &roots, &leaves)
+        difference::layer(&mut self.ipc, &roots, &leaves)
     }
 
     /// Adds the difference layer of every cycle below `window` that the
@@ -830,9 +833,11 @@ impl<'p> Session<'p> {
     /// The difference layer of `cycle` (see [`crate::difference`]): walks
     /// instance `a`'s and `b`'s copies of the cycle in pairs, from every
     /// `S_not_victim` atom's bits at `cycle + 1` down to the state bits at
-    /// `cycle` and the cycle's inputs, and builds each pair's XOR node in
-    /// the AIG. Nothing enters the solver: Alg. 1 and Alg. 2 add the
-    /// clauses through [`Ipc::add_implied_clause`].
+    /// `cycle` and the cycle's inputs, and builds in the AIG the XOR node of
+    /// each pair where a node owns a solver variable by now
+    /// ([`Ipc::owns_var`]). Nothing enters the solver: Alg. 1 and Alg. 2
+    /// add the clauses through [`Ipc::add_implied_clause`], which encodes
+    /// the XOR nodes.
     ///
     /// # Panics
     ///

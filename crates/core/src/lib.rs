@@ -47,9 +47,11 @@
 //!   boundaries,
 //! - each cycle the procedures grow a session to gets a [`difference`]
 //!   layer: clauses over `XOR(x_a, x_b)` pairs of the two instances'
-//!   gates that let unit propagation prove "equal fan-ins give an equal
-//!   output" instead of the solver searching for it. The AIG implies them,
-//!   and a certifying session derives each one instead of trusting it.
+//!   CNF gates that let unit propagation prove "equal fan-ins give an
+//!   equal output", and for a MUX "equal select and chosen branch give an
+//!   equal output", instead of the solver searching for it. The AIG
+//!   implies them, and a certifying session derives each one instead of
+//!   trusting it.
 //!
 //! # Shared artifacts and copy-on-write session forks
 //!

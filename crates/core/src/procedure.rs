@@ -13,7 +13,12 @@
 //! layer of every cycle they grow it to, before that cycle's first check
 //! (see [`crate::difference`] and [`Session::difference_layer`]):
 //! implied clauses that let unit propagation prove "equal fan-ins give an
-//! equal output" gate by gate.
+//! equal output" gate by gate, over the gates of the CNF encoding (a MUX
+//! also gets "equal select and chosen branch give an equal output"). A
+//! layer gives XOR nodes only to pairs that own a solver variable when it
+//! is built, so adding it encodes at most about one new node per such
+//! pair. The layer builds are most of the procedures' own time outside
+//! the solver.
 //!
 //! A window-k check of the incremental Alg. 2 also assumes `S[c]` equal at
 //! every cycle `c < k` (the `proven` argument of [`Session::check_window`]).

@@ -12,21 +12,30 @@ fn soc_fixed(words: u32) -> (Soc, UpecSpec) {
     (Soc::build(SocConfig::verification_sized(words, words)), UpecSpec::soc_fixed())
 }
 
-/// Coverage floor: at 8 words each cycle's layer pairs 7,480 nodes and
-/// emits 6,459 clauses. A pairing that stops early (say, fan-ins paired
-/// out of order, or the walk halting at the first complemented edge)
+/// Coverage floor: at 8 words each cycle's layer walks 7,480 node pairs,
+/// gives 3,458 of them an XOR node and emits 5,961 clauses (2,437 frontier
+/// and 3,524 select clauses). A pairing that stops early (say, fan-ins
+/// paired out of order, or the walk halting at the first complemented edge)
 /// leaves the solver to find those steps by search again, which cost 6x
-/// the `matrix` wall time before the layer.
+/// the `matrix` wall time before the layer. The layer must also keep to the
+/// gate-level CNF: adding it encodes at most one new node per XOR pair, where
+/// an XOR node for every walked pair encoded 13,549.
 #[test]
 fn layer_pairs_the_next_state_cones_of_the_8_word_soc() {
     let (soc, spec) = soc_fixed(8);
     let an = UpecAnalysis::new(&soc.netlist, spec).expect("spec ok");
     let mut sess = Session::new(&an, 2);
     for cycle in 0..2 {
+        let encoded = sess.encoded_nodes();
         let layer = sess.difference_layer(cycle);
         assert!(layer.pairs >= 7_480, "cycle {cycle}: {} pairs", layer.pairs);
-        assert!(layer.clauses.len() >= 6_459, "cycle {cycle}: {} clauses", layer.clauses.len());
-        assert!(layer.clauses.len() < layer.pairs, "leaf pairs get no clause");
+        assert!(layer.xor_pairs >= 3_458, "cycle {cycle}: {} XOR pairs", layer.xor_pairs);
+        assert!(layer.clauses.len() >= 5_961, "cycle {cycle}: {} clauses", layer.clauses.len());
+        for c in &layer.clauses {
+            sess.ipc_mut().add_implied_clause(&c.lits, &c.splits);
+        }
+        let new = sess.encoded_nodes() - encoded;
+        assert!(new <= layer.xor_pairs, "cycle {cycle}: {new} newly encoded nodes");
     }
 }
 

@@ -157,6 +157,12 @@ impl<'n> Ipc<'n> {
         self.enc.encoded_nodes()
     }
 
+    /// Whether `r`'s node owns a solver variable (see
+    /// [`CnfEncoder::owns_var`]). A read-only query: it encodes nothing.
+    pub fn owns_var(&self, r: AigRef) -> bool {
+        self.enc.owns_var(r)
+    }
+
     /// Reduces the solver's learnt-clause database and compacts its clause
     /// arena. Safe to call between checks of a long-lived session;
     /// core-tier clauses (LBD ≤ 3) and locked clauses survive (see

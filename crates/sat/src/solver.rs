@@ -347,6 +347,8 @@ pub struct Solver {
     /// `seen` marks added by the recursive minimizer beyond the learnt
     /// clause itself, cleared at the end of each analysis.
     ccmin_clear: Vec<Lit>,
+    /// Scratch: the clause being added (see `add_clause_with`).
+    add_buf: Vec<Lit>,
     /// Scratch for LBD computation: level -> stamp.
     lbd_stamp: Vec<u64>,
     lbd_counter: u64,
@@ -417,6 +419,7 @@ impl Solver {
             seen: Vec::new(),
             ccmin_stack: Vec::new(),
             ccmin_clear: Vec::new(),
+            add_buf: Vec::new(),
             lbd_stamp: Vec::new(),
             lbd_counter: 0,
             var_inc: 1.0,
@@ -568,8 +571,9 @@ impl Solver {
         self.add_clause_with(lits, |checker, ls| checker.derive(ls, splits))
     }
 
-    /// Sorts and deduplicates `lits`, hands a non-tautological clause to a
-    /// certifying solver's checker through `certify`, and adds it.
+    /// Sorts and deduplicates `lits` in the solver's scratch buffer, hands
+    /// a non-tautological clause to a certifying solver's checker through
+    /// `certify`, and adds it.
     fn add_clause_with(
         &mut self,
         lits: impl IntoIterator<Item = Lit>,
@@ -579,46 +583,38 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut ls: Vec<Lit> = lits.into_iter().collect();
+        let mut ls = std::mem::take(&mut self.add_buf);
+        ls.clear();
+        ls.extend(lits);
         ls.sort_unstable();
         ls.dedup();
+        // p and ~p are adjacent after the sort.
+        let tautology = ls.windows(2).any(|w| w[1] == !w[0]);
         if let Some(checker) = &mut self.checker {
-            if !ls.windows(2).any(|w| w[1] == !w[0]) {
+            if !tautology {
                 certify(checker, &ls);
             }
         }
-        // Tautology / level-0 simplification.
-        let mut simplified: Vec<Lit> = Vec::with_capacity(ls.len());
-        let mut prev: Option<Lit> = None;
-        for &l in &ls {
-            if Some(!l) == prev {
-                return true; // tautology: p and ~p adjacent after sort
-            }
-            match self.value_lit(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => simplified.push(l),
-            }
-            prev = Some(l);
-        }
-        match simplified.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(simplified[0], 0, CREF_UNDEF);
-                self.ok = self.propagate().is_none();
-                self.ok
-            }
-            _ => {
-                let cref = self.db.alloc(&simplified, false);
-                self.clauses.push(cref);
-                self.stats.clauses += 1;
-                self.attach(cref);
-                true
+        // A tautology, or a clause already satisfied at level 0, adds nothing.
+        if !tautology && !ls.iter().any(|&l| self.value_lit(l) == LBool::True) {
+            // Level-0 simplification: drop the falsified literals.
+            ls.retain(|&l| self.value_lit(l) == LBool::Undef);
+            match ls.len() {
+                0 => self.ok = false,
+                1 => {
+                    self.unchecked_enqueue(ls[0], 0, CREF_UNDEF);
+                    self.ok = self.propagate().is_none();
+                }
+                _ => {
+                    let cref = self.db.alloc(&ls, false);
+                    self.clauses.push(cref);
+                    self.stats.clauses += 1;
+                    self.attach(cref);
+                }
             }
         }
+        self.add_buf = ls;
+        self.ok
     }
 
     fn attach(&mut self, cref: CRef) {
