@@ -32,7 +32,7 @@
 //! `x_a` of one product instance with its twin `x_b` in the other, but
 //! encodes `XOR(x_a, x_b)` only for a pair where one of the two already
 //! owns a variable ([`CnfEncoder::owns_var`]). The ANDs inside a gate stay
-//! without one, so paired nodes no longer all own a variable. Where only
+//! without one, so a paired node need not own a variable. Where only
 //! one node of a pair owns one, the XOR encodes its twin on its own: a
 //! tree that stops at fan-ins that own variables already.
 

@@ -23,9 +23,7 @@
 //! - **Transparent pairs.** All other walked pairs lie inside a MUX/XOR
 //!   gate or an AND tree and get no node, no variable and no clause. An
 //!   XOR over them would force each inner AND to own a variable and undo
-//!   the gate-level encoding: at 8 words a cycle's 7,480 pairs would
-//!   newly encode about 13,500 nodes, against about 1,500 for its 3,458
-//!   XOR pairs.
+//!   the gate-level encoding.
 //! - **Frontier clauses.** The *frontier* of an XOR pair is the set of XOR
 //!   pairs reached from its fan-in pairs through transparent pairs. The
 //!   pair gets the clause `d_f₁ ∨ … ∨ d_fₙ ∨ ¬d_x`: an equal frontier gives
@@ -40,12 +38,10 @@
 //!   pairs, also gets `d_s ∨ d_t ∨ ¬s_a ∨ ¬d_x` and
 //!   `d_s ∨ d_e ∨ s_a ∨ ¬d_x`: an equal select and an equal chosen branch
 //!   give an equal output, whatever the other branch does. The frontier
-//!   clause covers only equal `s`, `t` and `e`. The AND-level layer this
-//!   one replaced covered the select case through the XORs of the MUX's
-//!   inner ANDs; without the select clauses the 8-word dma_timer/leaky
-//!   detection took 1,839 conflicts, against 375 with them. XOR shapes
-//!   (`e = ¬t`) skip them: their frontier is `{s, t}`, and the frontier
-//!   clause subsumes both.
+//!   clause covers only equal `s`, `t` and `e`, and the MUX's inner ANDs
+//!   are transparent, so without these clauses the solver would find the
+//!   select case by search. XOR shapes (`e = ¬t`) skip them: their
+//!   frontier is `{s, t}`, and the frontier clause subsumes both.
 //!
 //! With the clauses in the solver, unit propagation carries equality from
 //! the assumed pre-state to every next-state bit whose cone sees no

@@ -17,8 +17,7 @@
 //! also gets "equal select and chosen branch give an equal output"). A
 //! layer gives XOR nodes only to pairs that own a solver variable when it
 //! is built, so adding it encodes at most about one new node per such
-//! pair. The layer builds are most of the procedures' own time outside
-//! the solver.
+//! pair.
 //!
 //! A window-k check of the incremental Alg. 2 also assumes `S[c]` equal at
 //! every cycle `c < k` (the `proven` argument of [`Session::check_window`]).

@@ -17,9 +17,10 @@ fn soc_fixed(words: u32) -> (Soc, UpecSpec) {
 /// and 3,524 select clauses). A pairing that stops early (say, fan-ins
 /// paired out of order, or the walk halting at the first complemented edge)
 /// leaves the solver to find those steps by search again, which cost 6x
-/// the `matrix` wall time before the layer. The layer must also keep to the
-/// gate-level CNF: adding it encodes at most one new node per XOR pair, where
-/// an XOR node for every walked pair encoded 13,549.
+/// the `matrix` wall time before the layer. Leaf and transparent pairs get
+/// no clause, so a layer has fewer clauses than walked pairs. The layer
+/// must also keep to the gate-level CNF: adding it encodes at most one new
+/// node per XOR pair.
 #[test]
 fn layer_pairs_the_next_state_cones_of_the_8_word_soc() {
     let (soc, spec) = soc_fixed(8);
@@ -31,6 +32,7 @@ fn layer_pairs_the_next_state_cones_of_the_8_word_soc() {
         assert!(layer.pairs >= 7_480, "cycle {cycle}: {} pairs", layer.pairs);
         assert!(layer.xor_pairs >= 3_458, "cycle {cycle}: {} XOR pairs", layer.xor_pairs);
         assert!(layer.clauses.len() >= 5_961, "cycle {cycle}: {} clauses", layer.clauses.len());
+        assert!(layer.clauses.len() < layer.pairs, "leaf pairs get no clause");
         for c in &layer.clauses {
             sess.ipc_mut().add_implied_clause(&c.lits, &c.splits);
         }
