@@ -1,5 +1,4 @@
-//! E6: scalability — proof effort versus design state bits, plus the
-//! persistent-session-vs-fresh-session engine comparison. Emits
+//! E6: scalability — proof effort versus design state bits. Emits
 //! `BENCH_e6_scaling.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -29,9 +28,9 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // The perf record: scaling series + incremental-vs-fresh at the largest
-    // configured size (smaller sizes in smoke mode to keep CI fast).
-    let (sizes, cmp_words): (&[u32], u32) = if smoke { (&[8], 8) } else { (&[8, 16, 32], 32) };
+    // The perf record: the scaling series (smaller sizes in smoke mode to
+    // keep CI fast).
+    let sizes: &[u32] = if smoke { &[8] } else { &[8, 16, 32] };
     let points = ssc_bench::e6_scaling(sizes);
     println!("\n[e6] words -> (state bits, detect, prove):");
     for p in &points {
@@ -40,22 +39,7 @@ fn bench(c: &mut Criterion) {
             p.words, p.state_bits, p.detect, p.prove
         );
     }
-    let comparisons = vec![
-        ssc_bench::compare_alg2_engines("vulnerable", UpecSpec::soc_vulnerable(), cmp_words),
-        ssc_bench::compare_alg2_engines("fixed", UpecSpec::soc_fixed(), cmp_words),
-    ];
-    for cmp in &comparisons {
-        println!(
-            "[e6]   alg2 {} @ {} words: incremental {:?} vs fresh {:?} ({:.2}x, max window {})",
-            cmp.config,
-            cmp.words,
-            cmp.incremental.runtime,
-            cmp.fresh.runtime,
-            cmp.speedup(),
-            cmp.max_window()
-        );
-    }
-    ssc_bench::perf::write_record("e6_scaling", &ssc_bench::perf::e6(&points, &comparisons));
+    ssc_bench::perf::write_record("e6_scaling", &ssc_bench::perf::e6(&points));
 }
 
 criterion_group!(benches, bench);

@@ -1,13 +1,11 @@
 //! E7: the 2-cycle fixpoint (Alg. 1) versus the unrolled procedure
-//! (Alg. 2), plus the persistent-session-vs-fresh-session comparison.
-//! Emits `BENCH_e7_alg1_vs_alg2.json`.
+//! (Alg. 2). Emits `BENCH_e7_alg1_vs_alg2.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssc_soc::Soc;
 use upec_ssc::{UpecAnalysis, UpecSpec};
 
 fn bench(c: &mut Criterion) {
-    let smoke = c.is_test_mode();
     let soc = Soc::verification_view();
     let mut g = c.benchmark_group("e7_alg1_vs_alg2");
     g.sample_size(10);
@@ -25,12 +23,6 @@ fn bench(c: &mut Criterion) {
             assert!(an.alg2().is_vulnerable());
         })
     });
-    g.bench_function("alg2_fresh_baseline_vulnerable", |b| {
-        b.iter(|| {
-            let an = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_vulnerable()).unwrap();
-            assert!(an.alg2_fresh_baseline().is_vulnerable());
-        })
-    });
     g.finish();
 
     println!("\n[e7] config/procedure -> iterations, runtime:");
@@ -45,22 +37,7 @@ fn bench(c: &mut Criterion) {
             cmp.alg2.runtime
         );
     }
-    let cmp_words = if smoke { 8 } else { 16 };
-    let comparisons = vec![
-        ssc_bench::compare_alg2_engines("vulnerable", UpecSpec::soc_vulnerable(), cmp_words),
-        ssc_bench::compare_alg2_engines("fixed", UpecSpec::soc_fixed(), cmp_words),
-    ];
-    for cmp in &comparisons {
-        println!(
-            "[e7]   alg2 {}: incremental {:?} vs fresh {:?} ({:.2}x)",
-            cmp.config,
-            cmp.incremental.runtime,
-            cmp.fresh.runtime,
-            cmp.speedup()
-        );
-    }
-    let record = ssc_bench::perf::e7(&procedures, &comparisons);
-    ssc_bench::perf::write_record("e7_alg1_vs_alg2", &record);
+    ssc_bench::perf::write_record("e7_alg1_vs_alg2", &ssc_bench::perf::e7(&procedures));
 }
 
 criterion_group!(benches, bench);

@@ -50,10 +50,6 @@ enum Needs {
 /// skip.
 #[rustfmt::skip]
 const GATES: &[Gate] = &[
-    // Persistent-session Alg. 2 against the fresh-session baseline.
-    Gate { file: "BENCH_e6_scaling.json", bench: "e6_scaling", field: "speedup", floor: 1.5,
-        context: &["config", "words"], attest: false, largest_of: Some("incremental_vs_fresh"),
-        needs: None },
     // 64-lane dynamic-IFT trial throughput against the scalar loop.
     Gate { file: "BENCH_e8_lanes.json", bench: "e8_ift_baseline", field: "speedup", floor: 8.0,
         context: &["lanes"], attest: false, largest_of: None, needs: None },
@@ -202,24 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn e6_gate_reads_every_config_at_the_largest_size() {
-        let dir = record_dir("e6");
-        let path = dir.join("BENCH_e6_scaling.json");
-
-        std::fs::write(&path, r#"{"experiment":"e6_scaling","points":[{"words":8,"state_bits":100,"detect_us":1,"prove_us":2}],"incremental_vs_fresh":[{"config":"vulnerable","words":8,"speedup":4.835,"incremental_iterations":[{"window":1}]},{"config":"fixed","words":8,"speedup":2.276,"incremental_iterations":[]}]}"#).unwrap();
-        assert!(run("BENCH_e6_scaling.json", &dir).unwrap(), "both configs above the floor");
-
-        // A slow smaller size does not count; a slow config at the largest
-        // size does.
-        std::fs::write(&path, r#"{"experiment":"e6_scaling","incremental_vs_fresh":[{"config":"fixed","words":8,"speedup":1.1},{"config":"vulnerable","words":16,"speedup":4.8},{"config":"fixed","words":16,"speedup":2.3}]}"#).unwrap();
-        assert!(run("BENCH_e6_scaling.json", &dir).unwrap(), "only the largest size is gated");
-        std::fs::write(&path, r#"{"experiment":"e6_scaling","incremental_vs_fresh":[{"config":"vulnerable","words":16,"speedup":4.8},{"config":"fixed","words":16,"speedup":1.2}]}"#).unwrap();
-        assert!(!run("BENCH_e6_scaling.json", &dir).unwrap(), "fixed at 1.2x must regress");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn missing_field_error_names_file_and_field() {
         let record = Json::parse(r#"{"other":1}"#).unwrap();
         let err = field(&record, "speedup", Path::new("BENCH_x.json")).unwrap_err();
@@ -308,7 +286,7 @@ mod tests {
 
     #[test]
     fn only_the_top_level_attestation_counts() {
-        // The committed e6-e9 records plus an e10 record whose own
+        // The committed e8 and e9 records plus an e10 record whose own
         // `equivalent` is false while its size entry's is true.
         let dir = record_dir("nested");
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -194,69 +194,6 @@ pub fn e6_scaling(word_sizes: &[u32]) -> Vec<ScalingPoint> {
     out
 }
 
-/// Head-to-head of the persistent-session Alg. 2 against the
-/// fresh-session-per-check baseline on one configuration.
-#[derive(Clone, Debug)]
-pub struct IncrementalComparison {
-    /// Label of the configuration.
-    pub config: &'static str,
-    /// Memory words per device of the measured SoC.
-    pub words: u32,
-    /// The persistent-session engine ([`upec_ssc::UpecAnalysis::alg2`]).
-    pub incremental: FormalResult,
-    /// The tear-down baseline
-    /// ([`upec_ssc::UpecAnalysis::alg2_fresh_baseline`]).
-    pub fresh: FormalResult,
-}
-
-impl IncrementalComparison {
-    /// Wall-clock speedup of the incremental engine over the baseline.
-    pub fn speedup(&self) -> f64 {
-        self.fresh.runtime.as_secs_f64() / self.incremental.runtime.as_secs_f64().max(1e-9)
-    }
-
-    /// The largest window either engine reached.
-    pub fn max_window(&self) -> usize {
-        self.incremental
-            .verdict
-            .iterations()
-            .iter()
-            .map(|i| i.window)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Runs both Alg. 2 engines on one configuration and size; both verdict
-/// kinds must agree (asserted).
-pub fn compare_alg2_engines(
-    config: &'static str,
-    spec: UpecSpec,
-    words: u32,
-) -> IncrementalComparison {
-    let cfg = SocConfig::verification_sized(words, words);
-    let incremental = run_formal(spec.clone(), cfg, true);
-    let fresh = {
-        let soc = Soc::build(cfg);
-        let state_bits = analysis::state_bit_count(&soc.netlist);
-        let an = UpecAnalysis::new(&soc.netlist, spec).expect("spec matches the SoC");
-        let t = Instant::now();
-        let verdict = an.alg2_fresh_baseline();
-        FormalResult { verdict, runtime: t.elapsed(), state_bits }
-    };
-    assert_eq!(
-        incremental.verdict.is_vulnerable(),
-        fresh.verdict.is_vulnerable(),
-        "incremental and fresh-session engines must agree ({config})"
-    );
-    assert_eq!(
-        incremental.verdict.is_secure(),
-        fresh.verdict.is_secure(),
-        "incremental and fresh-session engines must agree ({config})"
-    );
-    IncrementalComparison { config, words, incremental, fresh }
-}
-
 /// E7 — Alg. 1 versus Alg. 2 on both configurations.
 #[derive(Clone, Debug)]
 pub struct ProcedureComparison {
@@ -697,52 +634,6 @@ pub fn derive_lint_spec(spec: &UpecSpec) -> ssc_netlist::lint::LintSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn incremental_engine_beats_fresh_baseline() {
-        // The acceptance gate of the persistent-session refactor, asserted
-        // on *deterministic* quantities (the solver is deterministic;
-        // wall-clock speedup lives in the BENCH_*.json records where
-        // scheduler jitter cannot turn CI red): on the deepest-window
-        // configuration the incremental engine must do strictly less
-        // total solver and encoding work than the tear-down baseline.
-        let cmp = compare_alg2_engines("fixed", UpecSpec::soc_fixed(), 8);
-        assert!(cmp.incremental.verdict.is_secure());
-        let work = |v: &upec_ssc::Verdict| {
-            v.iterations()
-                .iter()
-                .map(|i| i.solver.propagations + i.solver.conflicts)
-                .sum::<u64>()
-        };
-        let encoded = |v: &upec_ssc::Verdict| {
-            v.iterations().iter().map(|i| i.encoded_delta).sum::<usize>()
-        };
-        assert!(
-            work(&cmp.incremental.verdict) < work(&cmp.fresh.verdict),
-            "incremental solver work {} must undercut fresh {}",
-            work(&cmp.incremental.verdict),
-            work(&cmp.fresh.verdict)
-        );
-        assert!(
-            encoded(&cmp.incremental.verdict) < encoded(&cmp.fresh.verdict),
-            "incremental encoding {} must undercut fresh {}",
-            encoded(&cmp.incremental.verdict),
-            encoded(&cmp.fresh.verdict)
-        );
-        // The shared prefix is encoded at session construction; no window's
-        // check may come close to re-encoding it.
-        let iters = cmp.incremental.verdict.iterations();
-        let first = iters.first().expect("at least one iteration");
-        for it in iters {
-            assert!(
-                it.encoded_delta * 4 < first.encoded_nodes,
-                "window {} re-encoded {} nodes (prefix encoding: {})",
-                it.window,
-                it.encoded_delta,
-                first.encoded_nodes
-            );
-        }
-    }
 
     #[test]
     fn batched_dynamic_trials_match_scalar_decisions() {

@@ -15,7 +15,7 @@ use std::time::Duration;
 use upec_ssc::{IterationStat, Verdict};
 
 use crate::portfolio::{PortfolioEntry, PortfolioReport, SetupComparison};
-use crate::{E8LanesComparison, IncrementalComparison, ProcedureComparison, ScalingPoint};
+use crate::{E8LanesComparison, ProcedureComparison, ScalingPoint};
 
 /// A perf-record value: JSON without `null`.
 #[derive(Clone, Debug, PartialEq)]
@@ -375,22 +375,6 @@ fn verdict_kind(v: &Verdict) -> Json {
     .into()
 }
 
-/// One incremental-vs-fresh Alg. 2 comparison, as e6 and e7 embed it.
-fn comparison(c: &IncrementalComparison) -> Json {
-    obj([
-        ("config", c.config.into()),
-        ("words", c.words.into()),
-        ("state_bits", c.incremental.state_bits.into()),
-        ("max_window", c.max_window().into()),
-        ("verdict", verdict_kind(&c.incremental.verdict)),
-        ("incremental_us", c.incremental.runtime.into()),
-        ("fresh_us", c.fresh.runtime.into()),
-        ("speedup", c.speedup().into()),
-        ("incremental_iterations", iterations(&c.incremental.verdict)),
-        ("fresh_iterations", iterations(&c.fresh.verdict)),
-    ])
-}
-
 fn point(p: &ScalingPoint) -> Json {
     obj([
         ("words", p.words.into()),
@@ -439,23 +423,19 @@ fn ratio(before: Duration, after: Duration) -> Json {
     (before.as_secs_f64() / after.as_secs_f64().max(1e-9)).into()
 }
 
-/// The E6 record: the scaling series plus the incremental-vs-fresh
-/// comparison per configuration at the largest configured size.
-pub fn e6(points: &[ScalingPoint], comparisons: &[IncrementalComparison]) -> Json {
+/// The E6 record: the scaling series.
+pub fn e6(points: &[ScalingPoint]) -> Json {
     obj([
         ("experiment", "e6_scaling".into()),
         ("points", Json::Arr(points.iter().map(point).collect())),
-        ("incremental_vs_fresh", Json::Arr(comparisons.iter().map(comparison).collect())),
     ])
 }
 
-/// The E7 record: Alg. 1 vs Alg. 2 per configuration plus the
-/// incremental-vs-fresh Alg. 2 comparison.
-pub fn e7(procedures: &[ProcedureComparison], comparisons: &[IncrementalComparison]) -> Json {
+/// The E7 record: Alg. 1 vs Alg. 2 per configuration.
+pub fn e7(procedures: &[ProcedureComparison]) -> Json {
     obj([
         ("experiment", "e7_alg1_vs_alg2".into()),
         ("procedures", Json::Arr(procedures.iter().map(procedure).collect())),
-        ("incremental_vs_fresh", Json::Arr(comparisons.iter().map(comparison).collect())),
     ])
 }
 
@@ -671,29 +651,29 @@ mod tests {
     #[test]
     fn builders_round_trip_with_their_gated_fields() {
         use crate::portfolio::PortfolioEntry;
+        use ssc_soc::SocConfig;
         use upec_ssc::UpecSpec;
 
-        let cmp = crate::compare_alg2_engines("vulnerable", UpecSpec::soc_vulnerable(), 8);
+        let cfg = SocConfig::verification_sized(8, 8);
+        let alg1 = crate::run_formal(UpecSpec::soc_vulnerable(), cfg, false);
+        let alg2 = crate::run_formal(UpecSpec::soc_vulnerable(), cfg, true);
         let point = ScalingPoint {
             words: 8,
-            state_bits: cmp.incremental.state_bits,
-            detect: cmp.incremental.runtime,
-            prove: cmp.fresh.runtime,
+            state_bits: alg1.state_bits,
+            detect: alg1.runtime,
+            prove: alg2.runtime,
         };
-        let procedure = ProcedureComparison {
-            config: "vulnerable",
-            alg1: cmp.incremental.clone(),
-            alg2: cmp.fresh.clone(),
-        };
-        let e6 = e6(&[point], std::slice::from_ref(&cmp));
-        let e7 = e7(&[procedure], std::slice::from_ref(&cmp));
+        let procedure =
+            ProcedureComparison { config: "vulnerable", alg1: alg1.clone(), alg2: alg2.clone() };
+        let e6 = e6(&[point]);
+        let e7 = e7(&[procedure]);
         let portfolio = PortfolioReport {
             workers: 2,
             entries: vec![PortfolioEntry {
                 scenario: "dma_timer/leaky",
                 words: 8,
                 seed: 0xe4f2_f14c_459d_0786,
-                result: cmp.incremental.clone(),
+                result: alg2,
             }],
             wall: Duration::from_millis(50),
         };
@@ -711,10 +691,11 @@ mod tests {
         }
 
         let num = |v: &Json, k: &str| v.get(k).and_then(Json::num);
-        let vs_fresh = e6.get("incremental_vs_fresh").and_then(Json::arr).unwrap();
-        assert_eq!(num(&vs_fresh[0], "words"), Some(8.0));
-        assert_eq!(num(&vs_fresh[0], "speedup"), Some(cmp.speedup()));
-        let first = &vs_fresh[0].get("incremental_iterations").and_then(Json::arr).unwrap()[0];
+        let points = e6.get("points").and_then(Json::arr).unwrap();
+        assert_eq!(num(&points[0], "words"), Some(8.0));
+        assert_eq!(num(&points[0], "detect_us"), Some(alg1.runtime.as_micros() as f64));
+        let procedures = e7.get("procedures").and_then(Json::arr).unwrap();
+        let first = &procedures[0].get("alg2_iterations").and_then(Json::arr).unwrap()[0];
         assert_eq!(num(first, "encoded_delta"), Some(0.0));
         assert_eq!(num(&e9, "cores"), Some(4.0));
         assert_eq!(num(&e9, "speedup"), Some(2.0));

@@ -357,7 +357,7 @@ pub fn verdict_fingerprint(v: &Verdict, out: &mut String) {
 
     match v {
         Verdict::Secure(r) => {
-            let _ = write!(out, "secure(set={},removed={:?})", r.final_set_size, r.removed_atoms);
+            let _ = write!(out, "secure(set={},removed={:?})", r.final_set.len(), r.removed_atoms);
         }
         Verdict::Vulnerable(r) => {
             let _ = write!(

@@ -755,8 +755,8 @@ impl<'p> Session<'p> {
     ///
     /// This routes through exactly the same construction as a shared
     /// prefix plus [`Session::with_prefix`], so a session over a private
-    /// prefix and a session forked from a shared one are state-identical —
-    /// the guarantee behind the fork-vs-fresh equivalence tests.
+    /// prefix and a session forked from a shared one are state-identical,
+    /// down to the encoding counters.
     pub fn new(an: &'p UpecAnalysis, window: usize) -> Self {
         let prefix = SessionPrefix::build(an.artifact(), an.spec(), window)
             .expect("a bound spec was already validated");
@@ -819,11 +819,12 @@ impl<'p> Session<'p> {
 
     /// Grows the window to `window` transitions and adds the difference
     /// layer of every cycle below it that the session does not have yet
-    /// (see [`crate::difference`]). Alg. 1 and the incremental Alg. 2 call
-    /// it when they first grow a session to a cycle, before the check;
-    /// nothing else does, so prefixes, constraint obligations and
-    /// [`UpecAnalysis::alg2_fresh_baseline`] stay layer-free. The clauses
-    /// are implied by the AIG, so no check's answer can change; a
+    /// (see [`crate::difference`]). Alg. 1 and Alg. 2 call it when they
+    /// first grow a session to a cycle, before the check, and
+    /// [`UpecAnalysis::certify`] before its induction check; nothing else
+    /// does, so prefixes and the private session of
+    /// [`UpecAnalysis::prove_constraints_inductive`] stay layer-free. The
+    /// clauses are implied by the AIG, so no check's answer can change; a
     /// certifying session derives each one before the solver gets it.
     pub(crate) fn ensure_difference_layer(&mut self, window: usize) {
         self.ensure_window(window);

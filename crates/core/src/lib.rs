@@ -103,10 +103,12 @@
 //! [`IterationStat`] records the proof of incrementality per iteration:
 //! `encoded_delta` (new CNF work, bounded by the newly unrolled cycle's
 //! cone), plus solver-statistics deltas (conflicts, propagations,
-//! restarts, learnt counts, database reductions, GCs) and wall time. The
-//! tear-down-per-check reference engine
-//! ([`UpecAnalysis::alg2_fresh_baseline`]) remains available as the
-//! semantic cross-check oracle and performance baseline.
+//! restarts, learnt counts, database reductions, GCs) and wall time. A
+//! [`SecureReport`] carries its final inductive set, which
+//! [`UpecAnalysis::certify`] proves inductive again on a certifying solver
+//! without going through [`Session::check_window`]; a [`VulnReport`]'s
+//! counterexample replays on the concrete simulator
+//! ([`replay_on_simulator`]).
 //!
 //! # Example: detecting the HWPE/memory channel and proving the fix
 //!
@@ -122,7 +124,8 @@
 //! // Countermeasure: victim data in private memory + firmware constraints.
 //! let fixed = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_fixed()).unwrap();
 //! fixed.prove_constraints_inductive().unwrap();
-//! assert!(fixed.alg1().is_secure());
+//! let upec_ssc::Verdict::Secure(report) = fixed.alg1() else { panic!() };
+//! fixed.certify(&report).unwrap();
 //! ```
 
 #![warn(missing_docs)]

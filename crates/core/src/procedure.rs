@@ -1,4 +1,5 @@
-//! The UPEC-SSC proof procedures (paper Alg. 1 and Alg. 2).
+//! The UPEC-SSC proof procedures (paper Alg. 1 and Alg. 2), and the check
+//! of the certificate a Secure report carries.
 //!
 //! Both procedures run inside **one persistent [`Session`]**: the unrolled
 //! procedure (Alg. 2) grows the property window cycle by cycle in place,
@@ -9,9 +10,9 @@
 //! ([`UpecAnalysis::alg2_with_session`] — the portfolio entry point) or be
 //! built privately ([`UpecAnalysis::alg2`]); both are state-identical.
 //!
-//! Alg. 1 and the incremental Alg. 2 give each session the difference
-//! layer of every cycle they grow it to, before that cycle's first check
-//! (see [`crate::difference`] and [`Session::difference_layer`]):
+//! Alg. 1 and Alg. 2 give each session the difference layer of every cycle
+//! they grow it to, before that cycle's first check (see
+//! [`crate::difference`] and [`Session::difference_layer`]):
 //! implied clauses that let unit propagation prove "equal fan-ins give an
 //! equal output" gate by gate, over the gates of the CNF encoding (a MUX
 //! also gets "equal select and chosen branch give an equal output"). A
@@ -19,8 +20,8 @@
 //! is built, so adding it encodes at most about one new node per such
 //! pair.
 //!
-//! A window-k check of the incremental Alg. 2 also assumes `S[c]` equal at
-//! every cycle `c < k` (the `proven` argument of [`Session::check_window`]).
+//! A window-k check of Alg. 2 also assumes `S[c]` equal at every cycle
+//! `c < k` (the `proven` argument of [`Session::check_window`]).
 //! The window-(k-1) check proved exactly these equalities from
 //! `State_Equivalence(S[0])` and a subset of window k's standing
 //! assumptions, so every model of the window-k check satisfies them: no
@@ -30,15 +31,16 @@
 //! literals, so a certifying session checks every answer that rests on
 //! them like any other.
 //!
-//! [`UpecAnalysis::alg2_fresh_baseline`] keeps the tear-down-per-check
-//! variant alive as a cross-check reference and performance baseline, and
-//! is layer-free and carries nothing on purpose: it is the reference the
-//! layered engine's verdicts are compared against.
+//! A Secure report carries its final set `S_final`, and
+//! [`UpecAnalysis::certify`] proves it inductive again on a certifying
+//! session of its own, through a goal path that shares nothing with
+//! [`Session::check_window`]. A Vulnerable report carries a counterexample
+//! that [`crate::replay_on_simulator`] replays on the concrete simulator.
 
 use std::time::Instant;
 
 use crate::atoms::AtomSet;
-use crate::engine::{Session, UpecAnalysis};
+use crate::engine::{Session, SessionPrefix, UpecAnalysis};
 use crate::report::{
     InconclusiveCause, InconclusiveReport, IterationStat, SecureReport, Verdict, VulnReport,
 };
@@ -97,17 +99,10 @@ impl UpecAnalysis {
     /// victim's first access nothing is influenced) this yields an
     /// *unbounded* security proof from a two-clock-cycle window.
     pub fn alg1(&self) -> Verdict {
-        self.alg1_from(self.s_not_victim())
+        self.alg1_in_session(&mut Session::new(self, 1), self.s_not_victim())
     }
 
-    /// Algorithm 1 starting from a caller-provided set (used as the
-    /// induction step after Alg. 2, with `S = S[k]`).
-    pub fn alg1_from(&self, initial: AtomSet) -> Verdict {
-        let mut sess = Session::new(self, 1);
-        self.alg1_in_session(&mut sess, initial)
-    }
-
-    /// Algorithm 1 running inside an **existing** session.
+    /// Algorithm 1 from `initial`, running inside an **existing** session.
     ///
     /// This is how Alg. 2 finishes: the session that grew the unrolled
     /// window performs the final inductive proof too, so the fixpoint
@@ -117,19 +112,10 @@ impl UpecAnalysis {
     /// first check the session gets the difference layer of its first
     /// cycle ([`Session::difference_layer`]) unless it has it.
     pub fn alg1_in_session(&self, sess: &mut Session<'_>, initial: AtomSet) -> Verdict {
-        self.alg1_run(sess, initial, true)
-    }
-
-    /// Alg. 1 in `sess`, with the difference layer of the first cycle
-    /// added before the first check when `layered`.
-    fn alg1_run(&self, sess: &mut Session<'_>, initial: AtomSet, layered: bool) -> Verdict {
         let start = Instant::now();
-        if layered {
-            sess.ensure_difference_layer(1);
-        }
+        sess.ensure_difference_layer(1);
         let mut s = initial;
         let mut iterations: Vec<IterationStat> = Vec::new();
-        let mut removed_atoms: Vec<String> = Vec::new();
 
         loop {
             let snap = IterSnapshot::take(sess);
@@ -143,12 +129,16 @@ impl UpecAnalysis {
                         self.s_pers().iter().all(|a| s.contains(a)),
                         "S_pers must be contained in the final inductive set"
                     );
-                    // Deterministic report: removal order depends on model
-                    // extraction order, the report must not.
+                    // Whatever removed them, Alg. 2's windows or this
+                    // fixpoint: every atom of `S_not_victim` outside the
+                    // final set, sorted by name.
+                    let mut removed_atoms: Vec<String> =
+                        self.s_not_victim().difference(&s).map(|&a| self.atom_name(a)).collect();
                     removed_atoms.sort_unstable();
                     return Verdict::Secure(SecureReport {
                         iterations,
                         final_set_size: s.len(),
+                        final_set: s,
                         removed_atoms,
                         total_runtime: start.elapsed(),
                     });
@@ -192,7 +182,6 @@ impl UpecAnalysis {
                         });
                     }
                     for d in &diffs {
-                        removed_atoms.push(d.name.clone());
                         s.remove(&d.atom);
                     }
                 }
@@ -214,7 +203,20 @@ impl UpecAnalysis {
     /// the encoding work per window stays bounded by the newly unrolled
     /// cycle's cone.
     pub fn alg2(&self) -> Verdict {
-        self.alg2_impl(Some(Session::new(self, 1)))
+        self.alg2_with_session(Session::new(self, 1))
+    }
+
+    /// [`UpecAnalysis::alg2`] under a resource [`ssc_sat::Budget`]: every
+    /// solver call of the run (window growths, refinements, the concluding
+    /// induction) is governed by `budget`. A call whose budget runs out
+    /// surfaces as [`Verdict::Inconclusive`] with
+    /// [`InconclusiveCause::Interrupted`] and the partial iteration
+    /// trajectory — the analysis never panics on exhaustion and never maps
+    /// an interrupted run to `Secure`/`Vulnerable`.
+    pub fn alg2_budgeted(&self, budget: ssc_sat::Budget) -> Verdict {
+        let mut sess = Session::new(self, 1);
+        sess.set_budget(budget);
+        self.alg2_with_session(sess)
     }
 
     /// Algorithm 2 running inside a caller-provided session — the entry
@@ -228,108 +230,45 @@ impl UpecAnalysis {
     /// Panics if `sess` was created for a different analysis — its
     /// scenario assumptions would not match the atom sets and persistence
     /// classification this procedure derives from `self`.
-    pub fn alg2_with_session<'s>(&'s self, sess: Session<'s>) -> Verdict {
+    pub fn alg2_with_session<'s>(&'s self, mut sess: Session<'s>) -> Verdict {
         assert!(
             std::ptr::eq(sess.analysis(), self),
             "session belongs to a different analysis"
         );
-        self.alg2_impl(Some(sess))
-    }
-
-    /// [`UpecAnalysis::alg2`] under a resource [`ssc_sat::Budget`]: every
-    /// solver call of the run (window growths, refinements, the concluding
-    /// induction) is governed by `budget`. A call whose budget runs out
-    /// surfaces as [`Verdict::Inconclusive`] with
-    /// [`InconclusiveCause::Interrupted`] and the partial iteration
-    /// trajectory — the analysis never panics on exhaustion and never maps
-    /// an interrupted run to `Secure`/`Vulnerable`.
-    pub fn alg2_budgeted(&self, budget: ssc_sat::Budget) -> Verdict {
-        let mut sess = Session::new(self, 1);
-        sess.set_budget(budget);
-        self.alg2_impl(Some(sess))
-    }
-
-    /// The fresh-session reference implementation of Alg. 2: a new
-    /// [`Session`] (unroller, CNF encoding, solver) is constructed for
-    /// **every solver call**, discarding all learnt clauses and re-encoding
-    /// the entire prefix each time.
-    ///
-    /// Exists as (a) the semantic cross-check oracle for the incremental
-    /// engine — both must produce identical verdicts — and (b) the
-    /// performance baseline the `e6_scaling`/`e7_alg1_vs_alg2` experiments
-    /// measure the persistent session against. It adds no difference
-    /// layer, its concluding Alg. 1 included, and assumes no equality a
-    /// previous window proved, so it stays the lemma-free reference: a
-    /// layer clause or a carried equality that changed an answer would
-    /// show as a disagreement.
-    pub fn alg2_fresh_baseline(&self) -> Verdict {
-        self.alg2_impl(None)
-    }
-
-    fn alg2_impl<'s>(&'s self, initial_sess: Option<Session<'s>>) -> Verdict {
         let start = Instant::now();
-        let incremental = initial_sess.is_some();
         let s_init = self.s_not_victim();
         let mut s: Vec<AtomSet> = vec![s_init.clone(), s_init];
         let mut k = 1usize;
-        let mut sess_slot: Option<Session<'_>> = initial_sess;
         let mut iterations: Vec<IterationStat> = Vec::new();
 
         loop {
-            if !incremental {
-                // Baseline semantics: tear the whole session down before
-                // every check.
-                sess_slot = Some(Session::new(self, k));
-            }
-            let sess = sess_slot.as_mut().expect("session exists in both modes");
-            sess.ensure_window(k);
-            if incremental {
-                sess.ensure_difference_layer(k);
-            }
-            let snap = IterSnapshot::take(sess);
+            sess.ensure_difference_layer(k);
+            let snap = IterSnapshot::take(&sess);
             let set_size = s[k].len();
-            let result = if incremental {
-                let goals: Vec<(usize, &AtomSet)> = (1..=k).map(|c| (c, &s[c])).collect();
-                // The window-(k-1) check proved the goals below cycle k
-                // from `s[0]` and a subset of this window's standing
-                // assumptions. No model of this window diverges there, so
-                // those sets stay as they are, and this check assumes them
-                // instead of re-deriving them.
-                sess.check_window(k, &s[0], &goals[..k - 1], &goals)
-            } else {
-                // Baseline goal construction: one monolithic conjunction,
-                // re-encoded from scratch in the fresh session.
-                let mut assumptions = sess.base_assumptions(k);
-                assumptions.push(sess.state_eq(&s[0], 0));
-                let goals: Vec<_> = (1..=k).map(|c| sess.state_eq(&s[c], c)).collect();
-                let goal = {
-                    let aig = sess.ipc_mut().unroller_mut().aig_mut();
-                    aig.and_all(goals)
-                };
-                sess.ipc_mut().check(&assumptions, goal)
-            };
+            let goals: Vec<(usize, &AtomSet)> = (1..=k).map(|c| (c, &s[c])).collect();
+            // The window-(k-1) check proved the goals below cycle k from
+            // `s[0]` and a subset of this window's standing assumptions. No
+            // model of this window diverges there, so those sets stay as
+            // they are, and this check assumes them instead of re-deriving
+            // them.
+            let result = sess.check_window(k, &s[0], &goals[..k - 1], &goals);
 
             match result {
                 PropertyResult::Holds => {
-                    iterations.push(snap.finish(sess, iterations.len() + 1, k, set_size, 0));
-                    // Unsat-core fast-path (incremental engine only): when
-                    // the proof rested on *no* tracked atom's state-equality
-                    // assumption, the window obligation is discharged
-                    // independently of the sets — growing the window cannot
-                    // refine them further, so the whole-set saturation
-                    // comparison is skipped and the fixpoint concludes now.
-                    // Soundness is unaffected: the concluding Alg. 1 still
-                    // performs the genuine inductive proof on `s[k]`.
-                    let core_saturated =
-                        incremental && sess.last_core_without_state_eq() == Some(true);
+                    iterations.push(snap.finish(&mut sess, iterations.len() + 1, k, set_size, 0));
+                    // Unsat-core fast-path: when the proof rested on *no*
+                    // tracked atom's state-equality assumption, the window
+                    // obligation is discharged independently of the sets —
+                    // growing the window cannot refine them further, so the
+                    // whole-set saturation comparison is skipped and the
+                    // fixpoint concludes now. Soundness is unaffected: the
+                    // concluding Alg. 1 still performs the genuine
+                    // inductive proof on `s[k]`.
+                    let core_saturated = sess.last_core_without_state_eq() == Some(true);
                     if core_saturated || s[k] == s[k - 1] {
-                        // Saturated: finish with the inductive step — in the
-                        // same session when incremental.
-                        let tail = if incremental {
-                            self.alg1_in_session(sess, s[k].clone())
-                        } else {
-                            self.alg1_run(&mut Session::new(self, 1), s[k].clone(), false)
-                        };
+                        // Saturated: finish with the inductive step in the
+                        // same session.
+                        let tail = self.alg1_in_session(&mut sess, s[k].clone());
                         return merge_alg2_result(tail, iterations, start);
                     }
                     if k >= self.spec().max_unroll {
@@ -344,12 +283,10 @@ impl UpecAnalysis {
                     k += 1;
                     let prev = s[k - 1].clone();
                     s.push(prev);
-                    if incremental {
-                        // Window boundary: shed stale learnt clauses while
-                        // keeping glue/locked ones — the long-session GC
-                        // hook of the persistent architecture.
-                        sess.ipc_mut().collect_garbage();
-                    }
+                    // Window boundary: shed stale learnt clauses while
+                    // keeping glue/locked ones — the long-session GC hook of
+                    // the persistent architecture.
+                    sess.ipc_mut().collect_garbage();
                 }
                 PropertyResult::Violated => {
                     // Find the earliest cycle with a divergence.
@@ -372,7 +309,7 @@ impl UpecAnalysis {
                         }
                     }
                     iterations.push(snap.finish(
-                        sess,
+                        &mut sess,
                         iterations.len() + 1,
                         k,
                         set_size,
@@ -395,7 +332,7 @@ impl UpecAnalysis {
                     }
                 }
                 PropertyResult::Interrupted(int) => {
-                    iterations.push(snap.finish(sess, iterations.len() + 1, k, set_size, 0));
+                    iterations.push(snap.finish(&mut sess, iterations.len() + 1, k, set_size, 0));
                     return Verdict::Inconclusive(InconclusiveReport {
                         cause: InconclusiveCause::Interrupted(int),
                         iterations,
@@ -499,6 +436,57 @@ impl UpecAnalysis {
         } else {
             Err(failing)
         }
+    }
+
+    /// Checks the certificate a Secure report carries, its final set
+    /// `S_final`, and returns how many solver answers an independent RUP
+    /// checker certified. It checks `S_pers ⊆ S_final ⊆ S_not_victim` on
+    /// the sets, then, on a certifying session of its own with the cycle-0
+    /// difference layer, proves *`State_Equivalence(S_final)` at 0 implies
+    /// it at 1* and the firmware-constraint obligations. The induction goes
+    /// through one [`Session::state_eq`] conjunction and
+    /// [`ssc_ipc::Ipc::check`], so a fault in [`Session::check_window`]'s
+    /// activation, carried-equality or ordering code cannot vouch for
+    /// itself.
+    ///
+    /// The checker verifies answers about the CNF, not the encoding of the
+    /// design into it; the AIG-vs-simulation tests are the encoding's
+    /// oracle. The report's iterations and `removed_atoms` are not checked.
+    ///
+    /// # Errors
+    ///
+    /// Names the first obligation that fails or was interrupted.
+    pub fn certify(&self, report: &SecureReport) -> Result<u64, String> {
+        let set = &report.final_set;
+        if let Some(&a) = self.s_pers().difference(set).next() {
+            return Err(format!("persistent atom `{}` is not in S_final", self.atom_name(a)));
+        }
+        if let Some(&a) = set.difference(&self.s_not_victim()).next() {
+            return Err(format!("S_final atom `{}` is not in S_not_victim", self.atom_name(a)));
+        }
+        let prefix = SessionPrefix::build_certifying(self.artifact(), self.spec(), 1)
+            .expect("a bound spec was already validated");
+        let mut sess = Session::with_prefix(self, prefix);
+        sess.ensure_difference_layer(1);
+        let mut assumptions = sess.base_assumptions(1);
+        assumptions.push(sess.state_eq(set, 0));
+        let goal = sess.state_eq(set, 1);
+        match sess.ipc_mut().check(&assumptions, goal) {
+            PropertyResult::Holds => {}
+            PropertyResult::Violated => {
+                return Err("S_final equal at cycle 0 can differ at cycle 1".into());
+            }
+            PropertyResult::Interrupted(int) => {
+                return Err(format!("the induction check was interrupted ({})", int.cause.code()));
+            }
+        }
+        self.prove_constraints_inductive_in_session(&mut sess)
+            .map_err(|failing| format!("constraints not inductive: {}", failing.join(", ")))?;
+        let stats = sess.solver_stats();
+        if stats.certified != stats.solves - stats.interrupts {
+            return Err("an answer went uncertified".into());
+        }
+        Ok(stats.certified)
     }
 }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::atoms::StateAtom;
+use crate::atoms::{AtomSet, StateAtom};
 
 /// The difference of one state atom between the two product instances.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -144,10 +144,9 @@ pub struct IterationStat {
     pub encoded_nodes: usize,
     /// Growth of [`IterationStat::encoded_nodes`] *during* this iteration.
     ///
-    /// For the incremental engine this is the per-window proof obligation
-    /// of the persistent-session architecture: growth is bounded by the
-    /// newly unrolled cycle's cone (plus the goal clause), never by a full
-    /// re-encoding of the prefix.
+    /// This is the per-window proof obligation of the persistent session:
+    /// growth is bounded by the newly unrolled cycle's cone (plus the goal
+    /// clause), never by a full re-encoding of the prefix.
     pub encoded_delta: usize,
     /// AIG nodes in the unrolling after this iteration.
     pub aig_nodes: usize,
@@ -303,15 +302,19 @@ impl Verdict {
     }
 }
 
-/// Report for a secure design.
+/// Report for a secure design. It carries its own proof obligation,
+/// `final_set`, which [`crate::UpecAnalysis::certify`] checks.
 #[derive(Clone, Debug)]
 pub struct SecureReport {
     /// Per-iteration statistics.
     pub iterations: Vec<IterationStat>,
-    /// Size of the final inductive set `S`.
+    /// The final inductive set `S_final`.
+    pub final_set: AtomSet,
+    /// `final_set.len()`. Kept only because `perfbench/src/workloads.rs`
+    /// reads it; delete with the next benchmark change.
     pub final_set_size: usize,
-    /// Names of atoms removed from `S` along the way (influenced but
-    /// transient).
+    /// Sorted names of the atoms of `S_not_victim` outside `final_set`
+    /// (influenced but transient).
     pub removed_atoms: Vec<String>,
     /// Total wall-clock time.
     pub total_runtime: Duration,
@@ -335,7 +338,7 @@ impl fmt::Display for Verdict {
                 f,
                 "SECURE after {} iteration(s); inductive |S| = {}; {} transient atom(s) excluded; total {:.2?}",
                 r.iterations.len(),
-                r.final_set_size,
+                r.final_set.len(),
                 r.removed_atoms.len(),
                 r.total_runtime
             ),

@@ -6,12 +6,14 @@
 //! the known ones, patched cells must end at the known |S|, and every
 //! Vulnerable counterexample must replay on the concrete simulator. The
 //! patched cells' firmware-constraint obligations are proved on forks of
-//! the same prefix, and their answers are certified too. The checker must
+//! the same prefix, and their answers are certified too. Every Secure
+//! report must add up (its removed atoms and |S| make up `S_not_victim`)
+//! and its final set must pass `UpecAnalysis::certify`. The checker must
 //! not steer the search: at 8 words a plain run gives the same trajectory,
 //! counter for counter.
 //!
 //! At 16 words the matrix runs on plain sessions, with the same verdict,
-//! replay and |S| checks.
+//! replay, |S| and certificate checks.
 //!
 //! The second half pins the resource-governance paths: budget interrupts
 //! and the `ExhaustBudget`/`Cancel` chaos faults must still surface as
@@ -48,8 +50,9 @@ fn scenario_specs() -> Vec<(&'static str, UpecSpec, bool)> {
 
 /// Runs Alg. 2 on every scenario at `words` in forks of one prefix, built
 /// certifying or plain. Asserts each verdict kind, replays each
-/// Vulnerable counterexample on the simulator, and proves each patched
-/// cell's firmware constraints inductive in another fork.
+/// Vulnerable counterexample on the simulator, proves each patched cell's
+/// firmware constraints inductive in another fork, and certifies each
+/// Secure report.
 fn run_matrix(words: u32, certifying: bool) -> Vec<(&'static str, Verdict)> {
     let soc = Soc::build(SocConfig::verification_sized(words, words));
     let seed = UpecSpec::soc_vulnerable();
@@ -81,6 +84,14 @@ fn run_matrix(words: u32, certifying: bool) -> Vec<(&'static str, Verdict)> {
             assert!(s.solves > 0, "{name}@{words}: no constraint obligation was solved");
             let want = if certifying { s.solves - s.interrupts } else { 0 };
             assert_eq!(s.certified, want, "{name}@{words}: constraint answers certified");
+        }
+        if let Verdict::Secure(r) = &v {
+            assert_eq!(r.final_set_size, r.final_set.len(), "{name}@{words}");
+            let removed = &r.removed_atoms;
+            let added_up = removed.len() + r.final_set_size == an.s_not_victim().len();
+            assert!(added_up, "{name}@{words}: {removed:?} and |S| do not make S_not_victim");
+            let certified = an.certify(r).unwrap_or_else(|e| panic!("{name}@{words}: {e}"));
+            assert!(certified > 0, "{name}@{words}: nothing certified");
         }
         cells.push((name, v));
     }

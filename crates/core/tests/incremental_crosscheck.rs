@@ -1,18 +1,20 @@
-//! Cross-check of the persistent-session (incremental) Alg. 2 engine
-//! against the fresh-session-per-check reference implementation.
+//! Checks of the persistent-session Alg. 2 engine by artifacts: each
+//! Secure verdict's final set must pass `UpecAnalysis::certify` and each
+//! Vulnerable counterexample must replay on the concrete simulator.
 //!
 //! One formal configuration per attack scenario of
 //! `ssc-attacks/src/scenarios.rs` (`Channel::DmaTimer` and
 //! `Channel::HwpeMemory`, each in the leaky `in_public` and the patched
-//! `in_private` victim layout): the incremental engine must reach the same
-//! verdict as the reference on every one of them, and its per-window
-//! encoding growth must stay bounded by the newly unrolled cycle's cone
-//! (i.e. zero full re-encodings across windows).
+//! `in_private` victim layout): Alg. 1 must agree with the verdict, and
+//! the per-window encoding growth must stay bounded by the newly unrolled
+//! cycle's cone (i.e. zero full re-encodings across windows).
 
 use std::sync::Arc;
 
 use ssc_soc::{Soc, SocConfig};
-use upec_ssc::{ProductArtifact, Session, SessionPrefix, UpecAnalysis, UpecSpec, Verdict};
+use upec_ssc::{
+    replay_on_simulator, ProductArtifact, Session, SessionPrefix, UpecAnalysis, UpecSpec, Verdict,
+};
 
 /// The formal twin of each simulation scenario: `(name, spec, leaky)`.
 /// The patched (`in_private`) layouts map to `soc_fixed`, whose
@@ -37,40 +39,36 @@ fn scenario_specs() -> Vec<(&'static str, UpecSpec, bool)> {
     ]
 }
 
-fn kind(v: &Verdict) -> &'static str {
+/// A verdict's kind, with |S| for a Secure one.
+fn outcome(v: &Verdict) -> String {
     match v {
-        Verdict::Secure(_) => "secure",
-        Verdict::Vulnerable(_) => "vulnerable",
-        Verdict::Inconclusive(_) => "inconclusive",
+        Verdict::Secure(r) => format!("secure |S| = {}", r.final_set.len()),
+        Verdict::Vulnerable(_) => "vulnerable".to_string(),
+        Verdict::Inconclusive(r) => format!("inconclusive {}", r.cause.code()),
     }
 }
 
 #[test]
-fn incremental_alg2_matches_fresh_session_reference_on_all_scenarios() {
+fn alg2_verdicts_certify_or_replay_and_match_alg1_on_all_scenarios() {
     let soc = Soc::verification_view();
     for (name, spec, leaky) in scenario_specs() {
         let an = UpecAnalysis::new(&soc.netlist, spec).expect("spec matches the SoC");
-        let incremental = an.alg2();
-        let reference = an.alg2_fresh_baseline();
-        assert_eq!(
-            kind(&incremental),
-            kind(&reference),
-            "engines disagree on {name}: incremental={incremental}, reference={reference}"
-        );
-        assert_eq!(
-            kind(&incremental),
-            if leaky { "vulnerable" } else { "secure" },
-            "unexpected verdict on {name}: {incremental}"
-        );
+        let verdict = an.alg2();
+        assert_eq!(verdict.is_vulnerable(), leaky, "unexpected verdict on {name}: {verdict}");
+        let checked = match &verdict {
+            Verdict::Secure(r) => an.certify(r).map(|n| assert!(n > 0, "{name}: none certified")),
+            Verdict::Vulnerable(r) => replay_on_simulator(&an, &r.cex).map(drop),
+            Verdict::Inconclusive(_) => Err(format!("unexpected verdict {verdict}")),
+        };
+        checked.unwrap_or_else(|e| panic!("{name}: {e}"));
         // The 2-cycle procedure must agree with the unrolled one as well.
-        let alg1 = an.alg1();
-        assert_eq!(kind(&alg1), kind(&incremental), "alg1 disagrees on {name}");
+        assert_eq!(outcome(&an.alg1()), outcome(&verdict), "alg1 disagrees on {name}");
 
         // Boundedness: the shared prefix (unrolling, macros, state-equality
         // cones) is encoded eagerly at session construction, so no *check*
         // may re-encode it — every iteration's encoding delta must stay far
         // below the cumulative prefix encoding the first iteration reports.
-        let iters = incremental.iterations();
+        let iters = verdict.iterations();
         let first = iters.first().expect("procedures always iterate");
         assert!(
             first.encoded_nodes > 0,
@@ -88,6 +86,31 @@ fn incremental_alg2_matches_fresh_session_reference_on_all_scenarios() {
             );
         }
     }
+}
+
+/// `certify` checks the set a report carries, not the report's word: a
+/// final set without a persistent atom, or with the arbiter state the
+/// fixpoint removes, must be rejected.
+#[test]
+fn certify_rejects_tampered_final_sets() {
+    let soc = Soc::verification_view();
+    let an = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_fixed()).expect("spec ok");
+    let Verdict::Secure(report) = an.alg1() else {
+        panic!("the fixed configuration is secure");
+    };
+
+    let pers = *an.s_pers().first().expect("the SoC has persistent state");
+    let mut missing = report.clone();
+    missing.final_set.remove(&pers);
+    let err = an.certify(&missing).expect_err("S_pers is not in the final set");
+    assert!(err.contains(&an.atom_name(pers)), "{err}");
+
+    assert_eq!(report.removed_atoms, ["priv_xbar.arb.rr"]);
+    let rr = *an.s_not_victim().difference(&report.final_set).next().expect("one is removed");
+    let mut kept = report.clone();
+    kept.final_set.insert(rr);
+    let err = an.certify(&kept).expect_err("the arbiter state diverges in one step");
+    assert!(err.contains("can differ"), "{err}");
 }
 
 /// The deterministic content of a verdict: kind, counterexample diff atoms
@@ -123,8 +146,8 @@ fn trajectory(v: &Verdict) -> String {
     out
 }
 
-/// The fork-vs-fresh acceptance criterion of the shared-artifact
-/// refactor: on every scenario configuration and at two SoC sizes, running
+/// The acceptance criterion of the shared-artifact refactor: on every
+/// scenario configuration and at two SoC sizes, running
 /// Alg. 2 in a session **forked from one shared per-size prefix** must be
 /// state-identical — verdicts, diff-atom sets, refinement trajectories and
 /// even the encoding counters — to an independently built analysis
@@ -171,12 +194,10 @@ fn secure_scenarios_keep_s_pers_in_the_inductive_set() {
             continue;
         }
         let an = UpecAnalysis::new(&soc.netlist, spec).expect("spec matches the SoC");
-        let pers = an.s_pers().len();
         match an.alg2() {
             Verdict::Secure(r) => assert!(
-                r.final_set_size >= pers,
-                "{name}: inductive set ({}) must contain S_pers ({pers})",
-                r.final_set_size
+                r.final_set.is_superset(&an.s_pers()),
+                "{name}: the inductive set must contain S_pers"
             ),
             other => panic!("{name}: expected secure, got {other}"),
         }
@@ -193,7 +214,7 @@ fn secure_reports_are_deterministic_across_runs() {
     match (a, b) {
         (Verdict::Secure(ra), Verdict::Secure(rb)) => {
             assert_eq!(ra.removed_atoms, rb.removed_atoms);
-            assert_eq!(ra.final_set_size, rb.final_set_size);
+            assert_eq!(ra.final_set, rb.final_set);
             assert_eq!(ra.iterations.len(), rb.iterations.len());
         }
         (a, b) => panic!("expected secure verdicts, got {a} / {b}"),

@@ -1,10 +1,11 @@
 //! Property-based coverage of the engine on randomly wired register
 //! designs: whatever the topology, Alg. 2 on a certifying prefix must have
 //! every conclusive solver answer and every difference-layer clause
-//! accepted by the RUP checker, and every Vulnerable counterexample must
+//! accepted by the RUP checker, every Secure report must pass
+//! `UpecAnalysis::certify`, and every Vulnerable counterexample must
 //! replay on the concrete simulator. The layers' clauses must also hold
-//! under AIG evaluation, and leave the verdict of the layer-free reference
-//! unchanged.
+//! under AIG evaluation, and Alg. 1 must reach Alg. 2's verdict kind and
+//! |S|.
 //!
 //! Designs are generated from a seeded xorshift stream (the proptest shim
 //! supplies the seeds), mixing port-fed, register-fed, mux-arbitrated and
@@ -98,8 +99,9 @@ fn spec() -> UpecSpec {
 }
 
 /// Runs Alg. 2 on `seed`'s design off a certifying prefix. Panics if an
-/// iteration has an uncertified conclusive answer, or if the verdict is
-/// Vulnerable and its counterexample does not replay.
+/// iteration has an uncertified conclusive answer, if the verdict is
+/// Secure and its certificate is rejected, or if it is Vulnerable and its
+/// counterexample does not replay.
 fn certified_run(seed: u64) -> Verdict {
     let n = random_design(seed);
     let an = UpecAnalysis::new(&n, spec()).expect("spec matches the design");
@@ -116,18 +118,28 @@ fn certified_run(seed: u64) -> Verdict {
         );
     }
     assert!(v.iterations().iter().any(|it| it.solver.certified > 0), "seed {seed:#x}: {v}");
-    if let Verdict::Vulnerable(r) = &v {
-        if let Err(e) = replay_on_simulator(&an, &r.cex) {
-            panic!("seed {seed:#x}: {e}");
-        }
-    }
+    let checked = match &v {
+        Verdict::Secure(r) => an.certify(r).map(drop),
+        Verdict::Vulnerable(r) => replay_on_simulator(&an, &r.cex).map(drop),
+        Verdict::Inconclusive(_) => Ok(()),
+    };
+    checked.unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
     v
+}
+
+/// A verdict's kind, with |S| for a Secure one.
+fn outcome(v: &Verdict) -> String {
+    match v {
+        Verdict::Secure(r) => format!("secure |S| = {}", r.final_set.len()),
+        Verdict::Vulnerable(_) => "vulnerable".to_string(),
+        Verdict::Inconclusive(r) => format!("inconclusive {}", r.cause.code()),
+    }
 }
 
 /// The difference layers of `seed`'s design over two cycles: every clause
 /// holds under `Aig::eval` on random input vectors. Then Alg. 2, which adds
-/// the layers to its session, must reach the verdict kind and final |S| of
-/// the layer-free fresh-session reference.
+/// the layers to its session, must pass [`certified_run`], and Alg. 1 must
+/// reach its verdict kind and final |S|.
 fn layered_run(seed: u64) {
     let n = random_design(seed);
     let an = UpecAnalysis::new(&n, spec()).expect("spec matches the design");
@@ -146,13 +158,7 @@ fn layered_run(seed: u64) {
             }
         }
     }
-    let outcome = |v: &Verdict| match v {
-        Verdict::Secure(r) => format!("secure |S| = {}", r.final_set_size),
-        Verdict::Vulnerable(_) => "vulnerable".to_string(),
-        Verdict::Inconclusive(r) => format!("inconclusive {}", r.cause.code()),
-    };
-    let (layered, reference) = (an.alg2(), an.alg2_fresh_baseline());
-    assert_eq!(outcome(&layered), outcome(&reference), "seed {seed:#x}");
+    assert_eq!(outcome(&certified_run(seed)), outcome(&an.alg1()), "seed {seed:#x}");
 }
 
 proptest! {
@@ -164,8 +170,28 @@ proptest! {
     }
 
     #[test]
-    fn difference_layers_hold_and_keep_the_fresh_reference_verdict(seed: u64) {
+    fn difference_layers_hold_and_alg2_matches_alg1_on_random_designs(seed: u64) {
         layered_run(seed);
+    }
+}
+
+/// Designs on which a `check_window` that dropped the first or the last
+/// disjunct of its goal clause reaches a wrong verdict: an atom that can
+/// diverge stays in S, which raises |S| on the Secure designs and turns
+/// the Vulnerable ones Secure. Their verdicts and final sets are pinned
+/// here, and `certified_run` certifies or replays each.
+#[test]
+fn designs_sensitive_to_a_dropped_goal_disjunct_keep_their_verdicts() {
+    for (seed, expected) in [
+        (0x1cd2dd60aed3b548, "secure |S| = 1"),
+        (0x15c19a9ad0051422, "secure |S| = 2"),
+        (0xb9816f779e9d9803, "secure |S| = 3"),
+        (0xc6ff0f1d7363e9e8, "secure |S| = 2"),
+        (0xc2fc85725c274e7e, "vulnerable"),
+        (0x8420da6de6475f62, "vulnerable"),
+        (0xfe7d5bf62888add0, "vulnerable"),
+    ] {
+        assert_eq!(outcome(&certified_run(seed)), expected, "seed {seed:#x}");
     }
 }
 

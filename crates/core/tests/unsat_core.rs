@@ -100,8 +100,7 @@ fn carried_equalities_count_for_the_core_flag() {
     let upec_ssc::Verdict::Secure(report) = an.alg1() else {
         panic!("the fixed configuration is secure");
     };
-    let mut fin = an.s_not_victim();
-    fin.retain(|&a| !report.removed_atoms.contains(&an.atom_name(a)));
+    let fin = report.final_set;
     assert_eq!(fin.len(), 42);
 
     let empty = AtomSet::new();

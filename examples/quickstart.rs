@@ -1,5 +1,5 @@
 //! Quickstart: detect an MCU-wide timing side channel formally, then prove
-//! the countermeasure secure.
+//! the countermeasure secure and check that proof's certificate.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -26,7 +26,7 @@ fn main() -> Result<(), String> {
     let spec = UpecSpec::soc_vulnerable();
     let vulnerable = UpecAnalysis::new(&soc.netlist, spec)?;
     println!(
-        "\n[1/3] UPEC-SSC (Alg. 2) on the shared-memory configuration ..."
+        "\n[1/4] UPEC-SSC (Alg. 2) on the shared-memory configuration ..."
     );
     match vulnerable.alg2() {
         Verdict::Vulnerable(report) => {
@@ -41,23 +41,33 @@ fn main() -> Result<(), String> {
     //    that could reach it. First prove the firmware constraints
     //    inductive, then run the fixpoint procedure.
     let fixed = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_fixed())?;
-    println!("[2/3] Proving the countermeasure's firmware constraints inductive ...");
+    println!("[2/4] Proving the countermeasure's firmware constraints inductive ...");
     fixed
         .prove_constraints_inductive()
         .map_err(|bad| format!("constraints not inductive: {bad:?}"))?;
     println!("  -> legal IP configurations stay legal");
 
-    println!("[3/3] UPEC-SSC (Alg. 1) on the fixed configuration ...");
+    println!("[3/4] UPEC-SSC (Alg. 1) on the fixed configuration ...");
     let verdict = fixed.alg1();
     println!("  -> {verdict}");
-    if !verdict.is_secure() {
+    let Verdict::Secure(report) = &verdict else {
         return Err("the countermeasure should verify".into());
-    }
-    for it in verdict.iterations() {
+    };
+    for it in &report.iterations {
         println!(
             "     iteration {}: |S| = {}, removed {}, {:?}",
             it.iteration, it.set_size, it.removed, it.runtime
         );
     }
+
+    // 4. The SECURE report carries its final set. Re-prove it inductive,
+    //    with the firmware constraints, on a solver whose every answer an
+    //    independent RUP checker verifies.
+    println!("[4/4] Certifying the SECURE report ...");
+    let certified = fixed.certify(report).map_err(|e| format!("certificate rejected: {e}"))?;
+    println!(
+        "  -> S_final ({} atoms) is inductive and contains S_pers; {certified} solver answers certified",
+        report.final_set.len()
+    );
     Ok(())
 }
