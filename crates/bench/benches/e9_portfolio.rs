@@ -1,5 +1,5 @@
-//! E9: the parallel scenario-portfolio runner versus the sequential
-//! scenario loop — the machine-saturation record. Emits
+//! E9: the scenario portfolio on the default pool versus the same runner
+//! on one worker — the machine-saturation record. Emits
 //! `BENCH_e9_portfolio.json` (gated in CI at ≥ 2× on ≥ 4-core hosts).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
     let sizes: &[u32] = if smoke { &[8, 12] } else { &[8, 12, 16] };
     let pool = Pool::from_env();
 
-    let sequential = portfolio::run_portfolio_sequential(sizes);
+    let sequential = portfolio::run_portfolio(&Pool::new(1), sizes);
     let parallel = portfolio::run_portfolio(&pool, sizes);
     let equivalent =
         portfolio::fingerprint(&sequential) == portfolio::fingerprint(&parallel);
@@ -51,13 +51,14 @@ fn bench(c: &mut Criterion) {
         speedup
     );
     for e in &parallel.entries {
+        let r = e.result();
         println!(
             "[e9]   {:>22} @ {:>2} words: {:>6} bits, {:?} ({} iterations)",
             e.scenario,
             e.words,
-            e.result.state_bits,
-            e.result.runtime,
-            e.result.verdict.iterations().len()
+            r.state_bits,
+            r.runtime,
+            r.verdict.iterations().len()
         );
     }
 

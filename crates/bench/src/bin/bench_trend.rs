@@ -31,8 +31,6 @@ struct Gate {
     context: &'static [&'static str],
     /// The record must attest `"equivalent": true` at its top level.
     attest: bool,
-    /// Gate each entry of this array at the largest `words`, not the record.
-    largest_of: Option<&'static str>,
     /// The floor applies only where the record's host had this.
     needs: Option<Needs>,
 }
@@ -52,19 +50,14 @@ enum Needs {
 const GATES: &[Gate] = &[
     // 64-lane dynamic-IFT trial throughput against the scalar loop.
     Gate { file: "BENCH_e8_lanes.json", bench: "e8_ift_baseline", field: "speedup", floor: 8.0,
-        context: &["lanes"], attest: false, largest_of: None, needs: None },
+        context: &["lanes"], attest: false, needs: None },
     // 256 lanes against 64; AVX2 is the wide engine's target ISA.
     Gate { file: "BENCH_e8_lanes.json", bench: "e8_ift_baseline", field: "wide_vs_batch",
-        floor: 1.5, context: &["wide_lanes"], attest: false, largest_of: None,
-        needs: Some(Needs::Flag("avx2")) },
+        floor: 1.5, context: &["wide_lanes"], attest: false, needs: Some(Needs::Flag("avx2")) },
     // Parallel portfolio against the sequential loop; fewer cores cannot
     // show the speedup.
     Gate { file: "BENCH_e9_portfolio.json", bench: "e9_portfolio", field: "speedup", floor: 2.0,
-        context: &["workers", "cores"], attest: true, largest_of: None,
-        needs: Some(Needs::AtLeast("cores", 4.0)) },
-    // A from-scratch cell's setup against a marginal shared cell's.
-    Gate { file: "BENCH_e10_shared.json", bench: "e10_shared_portfolio", field: "setup_speedup",
-        floor: 1.5, context: &["words"], attest: true, largest_of: Some("sizes"), needs: None },
+        context: &["workers", "cores"], attest: true, needs: Some(Needs::AtLeast("cores", 4.0)) },
 ];
 
 fn malformed(path: &Path, what: impl Display) -> String {
@@ -111,41 +104,24 @@ fn check_gate(gate: &Gate, record: &Json, path: &Path) -> Result<bool, String> {
         let what = "top-level field `equivalent` is not `true`: the compared runs disagree";
         return Err(malformed(path, what));
     }
-    let rows: Vec<&Json> = match gate.largest_of {
-        None => vec![record],
-        Some(array) => {
-            let entries = record.get(array).and_then(Json::arr).unwrap_or_default();
-            if entries.is_empty() {
-                return Err(malformed(path, format_args!("missing or empty array `{array}`")));
-            }
-            let words: Vec<f64> =
-                entries.iter().map(|e| field(e, "words", path)).collect::<Result<_, _>>()?;
-            let largest = words.iter().copied().fold(f64::MIN, f64::max);
-            entries.iter().zip(words).filter(|&(_, w)| w == largest).map(|(e, _)| e).collect()
-        }
+    let value = field(record, gate.field, path)?;
+    let skip = skip_reason(gate, record, path)?;
+    let pass = skip.is_some() || value >= gate.floor;
+    let outcome = match skip {
+        Some(reason) => format!("skipped, recorded with {reason}"),
+        None => (if pass { "ok" } else { "REGRESSED" }).to_string(),
     };
-    let mut ok = true;
-    for row in rows {
-        let value = field(row, gate.field, path)?;
-        let skip = skip_reason(gate, record, path)?;
-        let pass = skip.is_some() || value >= gate.floor;
-        let outcome = match skip {
-            Some(reason) => format!("skipped, recorded with {reason}"),
-            None => (if pass { "ok" } else { "REGRESSED" }).to_string(),
-        };
-        let context =
-            gate.context.iter().filter_map(|&k| Some((k.to_string(), row.get(k)?.clone())));
-        let (file, name, floor) = (gate.file, gate.field, gate.floor);
-        println!(
-            "[trend] {file} `{name}` {}: {value:.2}x (floor {floor}x) {outcome}",
-            Json::Obj(context.collect())
-        );
-        if !pass {
-            eprintln!("[trend] threshold violated: `{name}` in {} is {value:.2}", path.display());
-        }
-        ok &= pass;
+    let context =
+        gate.context.iter().filter_map(|&k| Some((k.to_string(), record.get(k)?.clone())));
+    let (file, name, floor) = (gate.file, gate.field, gate.floor);
+    println!(
+        "[trend] {file} `{name}` {}: {value:.2}x (floor {floor}x) {outcome}",
+        Json::Obj(context.collect())
+    );
+    if !pass {
+        eprintln!("[trend] threshold violated: `{name}` in {} is {value:.2}", path.display());
     }
-    Ok(ok)
+    Ok(pass)
 }
 
 /// Evaluates `gates` on the records under `root`, parsing each record
@@ -286,43 +262,12 @@ mod tests {
 
     #[test]
     fn only_the_top_level_attestation_counts() {
-        // The committed e8 and e9 records plus an e10 record whose own
-        // `equivalent` is false while its size entry's is true.
+        // An e9 record whose own `equivalent` is false while its entry's is
+        // true.
         let dir = record_dir("nested");
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for gate in GATES.iter().filter(|g| g.file != "BENCH_e10_shared.json") {
-            std::fs::copy(root.join(gate.file), dir.join(gate.file)).unwrap();
-        }
-        std::fs::write(dir.join("BENCH_e10_shared.json"), r#"{"experiment":"e10_shared","sizes":[{"words":8,"cells":4,"scratch_setup_us":400,"shared_setup_us":100,"setup_speedup":4.000,"equivalent":true}],"scratch_wall_us":100,"shared_wall_us":90,"wall_speedup":1.111,"equivalent":false}"#).unwrap();
-        let err = check(GATES, &dir).unwrap_err();
+        std::fs::write(dir.join("BENCH_e9_portfolio.json"), r#"{"experiment":"e9_portfolio","workers":8,"cores":8,"jobs":1,"sequential_us":100,"parallel_us":40,"speedup":2.500,"equivalent":false,"entries":[{"scenario":"dma_timer/leaky","words":8,"equivalent":true}]}"#).unwrap();
+        let err = run("BENCH_e9_portfolio.json", &dir).unwrap_err();
         assert!(err.to_string().contains("`equivalent`"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn e10_gate_reads_largest_size_and_requires_equivalence() {
-        let dir = record_dir("e10");
-        let path = dir.join("BENCH_e10_shared.json");
-        let eval = || run("BENCH_e10_shared.json", &dir);
-
-        // Absent record: exit-2 class error naming the bench.
-        let err = eval().unwrap_err();
-        assert!(err.to_string().contains("e10_shared_portfolio"), "{err}");
-
-        // The floor applies to the *largest* size only: a slow small size
-        // must not regress while the largest passes.
-        std::fs::write(&path, r#"{"experiment":"e10_shared","sizes":[{"words":8,"cells":4,"scratch_setup_us":100,"shared_setup_us":90,"setup_speedup":1.111},{"words":12,"cells":4,"scratch_setup_us":400,"shared_setup_us":100,"setup_speedup":4.000}],"scratch_wall_us":100,"shared_wall_us":90,"wall_speedup":1.111,"equivalent":true}"#).unwrap();
-        assert!(eval().unwrap(), "largest size at 4x must pass");
-
-        // Largest size below the floor: regression.
-        std::fs::write(&path, r#"{"experiment":"e10_shared","sizes":[{"words":8,"cells":4,"scratch_setup_us":400,"shared_setup_us":100,"setup_speedup":4.000},{"words":12,"cells":4,"scratch_setup_us":100,"shared_setup_us":90,"setup_speedup":1.111}],"scratch_wall_us":100,"shared_wall_us":90,"wall_speedup":1.111,"equivalent":true}"#).unwrap();
-        assert!(!eval().unwrap(), "largest size at 1.11x must regress");
-
-        // Equivalence attestation failure is malformed, not a regression.
-        std::fs::write(&path, r#"{"experiment":"e10_shared","sizes":[{"words":8,"cells":4,"scratch_setup_us":400,"shared_setup_us":100,"setup_speedup":4.000}],"scratch_wall_us":100,"shared_wall_us":90,"wall_speedup":1.111,"equivalent":false}"#).unwrap();
-        let err = eval().unwrap_err();
-        assert!(err.to_string().contains("equivalent"), "{err}");
-
         std::fs::remove_dir_all(&dir).ok();
     }
 }

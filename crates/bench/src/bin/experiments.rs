@@ -1,4 +1,4 @@
-//! Regenerates every experiment of the paper reproduction (E1–E10) and
+//! Regenerates every experiment of the paper reproduction (E1–E9) and
 //! prints their tables and series.
 //!
 //! ```sh
@@ -95,18 +95,11 @@ fn main() {
     println!("  config      procedure  verdict      iterations  runtime");
     for c in e7_alg1_vs_alg2() {
         for (name, r) in [("Alg. 1", &c.alg1), ("Alg. 2", &c.alg2)] {
-            let v = if r.verdict.is_secure() {
-                "secure"
-            } else if r.verdict.is_vulnerable() {
-                "vulnerable"
-            } else {
-                "inconclusive"
-            };
             println!(
                 "  {:<10}  {:<9}  {:<11}  {:>10}  {:?}",
                 c.config,
                 name,
-                v,
+                verdict_kind(&r.verdict),
                 r.verdict.iterations().len(),
                 r.runtime
             );
@@ -142,9 +135,8 @@ fn main() {
     );
 
     hline("E9  parallel scenario portfolio");
-    let pool = ssc_pool::Pool::global();
-    let sequential = portfolio::run_portfolio_sequential(&[8, 12]);
-    let parallel = portfolio::run_portfolio(pool, &[8, 12]);
+    let sequential = portfolio::run_portfolio(&ssc_pool::Pool::new(1), &[8, 12]);
+    let parallel = portfolio::run_portfolio(ssc_pool::Pool::global(), &[8, 12]);
     assert_eq!(
         portfolio::fingerprint(&sequential),
         portfolio::fingerprint(&parallel),
@@ -152,10 +144,14 @@ fn main() {
     );
     println!("  scenario                 words  state bits  verdict      runtime");
     for e in &parallel.entries {
-        let v = if e.result.verdict.is_secure() { "secure" } else { "vulnerable" };
+        let r = e.result();
         println!(
             "  {:<24} {:>5}  {:>10}  {:<11}  {:?}",
-            e.scenario, e.words, e.result.state_bits, v, e.result.runtime
+            e.scenario,
+            e.words,
+            r.state_bits,
+            verdict_kind(&r.verdict),
+            r.runtime
         );
     }
     println!(
@@ -166,20 +162,5 @@ fn main() {
         parallel.wall,
         sequential.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9)
     );
-
-    hline("E10 shared-artifact portfolio setup");
-    println!("  words  cells  scratch setup  shared base  shared cells  per-cell speedup");
-    for w in [8u32, 12] {
-        let cmp = portfolio::compare_portfolio_setup(w);
-        println!(
-            "  {:>5}  {:>5}  {:>13?}  {:>11?}  {:>12?}  {:.2}x",
-            cmp.words,
-            cmp.cells,
-            cmp.scratch,
-            cmp.shared_base,
-            cmp.shared_cells,
-            cmp.speedup()
-        );
-    }
     println!();
 }

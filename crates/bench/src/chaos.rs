@@ -12,18 +12,14 @@
 //! Typical test shape:
 //!
 //! ```no_run
-//! use ssc_bench::portfolio::{job_seed, run_portfolio_fallible, RetryPolicy};
+//! use ssc_bench::portfolio::{job_seed, run_portfolio};
 //! use ssc_bench::chaos;
 //!
 //! chaos::silence_injected_panics();
 //! let seed = job_seed("dma_timer/patched", 8);
 //! let _plan = chaos::arm(chaos::panic_at_cell(seed));
-//! let report = run_portfolio_fallible(
-//!     &ssc_pool::Pool::new(4),
-//!     &[8],
-//!     &RetryPolicy::unlimited(),
-//! );
-//! assert_eq!(report.panicked().count(), 1);
+//! let report = run_portfolio(&ssc_pool::Pool::new(4), &[8]);
+//! assert_eq!(report.entries.iter().filter(|e| e.outcome.is_err()).count(), 1);
 //! ```
 
 pub use ssc_sat::chaos::{
@@ -41,7 +37,7 @@ pub fn panic_at_cell(seed: u64) -> ChaosPlan {
 }
 
 /// A plan that forces every solve of the cell whose seed is `seed` to a
-/// zero-conflict budget, so the cell's whole retry ladder runs dry with
+/// zero-conflict budget, so the cell ends inconclusive with
 /// `interrupt:conflict-budget`.
 #[must_use]
 pub fn exhaust_cell_budget(seed: u64) -> ChaosPlan {

@@ -1,10 +1,10 @@
 //! # ssc-bench — the experiment harness
 //!
 //! One function per experiment: the paper's artefacts E1–E8 and the engine
-//! studies E9 and E10. Each returns a structured result that the
-//! `experiments` binary renders as the paper-style table/series and the
-//! Criterion benches time; [`perf`] turns the benches' results into
-//! `BENCH_*.json` records.
+//! study E9. Each returns a structured result that the `experiments`
+//! binary renders as the paper-style table/series and the Criterion
+//! benches time; [`perf`] turns the benches' results into `BENCH_*.json`
+//! records.
 //!
 //! # Parallel architecture
 //!
@@ -15,28 +15,25 @@
 //! width-generic bit-sliced engines, partitioned by the shared
 //! [`ssc_pool::Pool::run_blocks`] at the [`ssc_pool::LaneWidth`] default)
 //! across the same pool (`ssc_attacks::leak::sweep_batched` for channel
-//! sweeps, the batched dynamic-IFT Monte-Carlo loop here). Since E10 the portfolio is also
-//! **work-sharing**: one product artifact + encoded base proof session per
-//! SoC size, copy-on-write-forked per scenario cell (two-phase plan in
-//! [`portfolio::run_portfolio`]). Parallel results are **bit-identical**
-//! to the sequential loops: work is enumerated in a fixed order, merged by
-//! job index, and seeded by job coordinates — never by worker identity;
-//! forked sessions are state-identical to privately built ones.
-//! `SSC_POOL_WORKERS=1` pins everything to the sequential path (CI runs
-//! the suite both ways).
+//! sweeps, the batched dynamic-IFT Monte-Carlo loop here). The portfolio
+//! also shares work: one product artifact + encoded base proof session per
+//! SoC size, forked per scenario cell ([`portfolio::run_portfolio`]).
+//! Parallel results are **bit-identical** to the sequential loops: work is
+//! enumerated in a fixed order, merged by job index, and seeded by job
+//! coordinates — never by worker identity. `SSC_POOL_WORKERS=1` pins the
+//! process-wide pool ([`ssc_pool::Pool::global`]) to the sequential path;
+//! the portfolio takes its pool as an argument, and its tests compare pools
+//! of 1, 2 and all-cores workers.
 //!
 //! # Fault tolerance
 //!
-//! The portfolio also has a **fault-isolated** mode
-//! ([`portfolio::run_portfolio_fallible`]): cells run under per-attempt
-//! effort budgets with an escalation ladder
-//! ([`portfolio::RetryPolicy`]), a panicking cell is confined to its
-//! matrix slot (`ssc_pool::Pool::try_run`), and a cell whose ladder runs
-//! dry is recorded as an inconclusive verdict with a machine-readable
-//! cause — one bad cell never costs the rest of the matrix. The [`chaos`]
-//! harness injects deterministic faults (panics, budget exhaustion,
-//! forced cancellation) addressed at cells by their seed, which is how
-//! the chaos tests pin all of this down.
+//! [`portfolio::run_portfolio`] confines a panicking cell to its matrix
+//! slot (`ssc_pool::Pool::try_run`), with the panic message, so one bad
+//! cell never costs the rest of the matrix; a cell whose solves are
+//! interrupted ends with an inconclusive verdict and a machine-readable
+//! cause. The [`chaos`] harness injects deterministic faults (panics,
+//! budget exhaustion, forced cancellation) addressed at cells by their
+//! seed, which is how the chaos tests pin all of this down.
 
 #![warn(missing_docs)]
 
@@ -75,6 +72,16 @@ pub struct FormalResult {
     pub runtime: Duration,
     /// State bits of the design under verification (single instance).
     pub state_bits: u64,
+}
+
+/// A verdict's kind as one word: `"secure"`, `"vulnerable"` or
+/// `"inconclusive"`. The experiment tables and the perf records print it.
+pub fn verdict_kind(v: &Verdict) -> &'static str {
+    match v {
+        Verdict::Secure(_) => "secure",
+        Verdict::Vulnerable(_) => "vulnerable",
+        Verdict::Inconclusive(_) => "inconclusive",
+    }
 }
 
 fn run_formal(spec: UpecSpec, cfg: SocConfig, unrolled: bool) -> FormalResult {
@@ -736,15 +743,26 @@ mod tests {
     }
 
     #[test]
+    fn interrupted_run_is_labelled_inconclusive() {
+        // A 3-conflict budget cannot complete the secure proof.
+        let soc = Soc::build(SocConfig::verification_sized(8, 8));
+        let an = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_fixed()).expect("spec ok");
+        let verdict = an.alg2_budgeted(upec_ssc::Budget::unlimited().with_conflicts(3));
+        assert_eq!(verdict_kind(&verdict), "inconclusive", "{verdict}");
+    }
+
+    #[test]
     fn e2_detects_memory_medium() {
         let r = e2_detect_hwpe_memory();
         assert!(r.verdict.is_vulnerable());
+        assert_eq!(verdict_kind(&r.verdict), "vulnerable");
     }
 
     #[test]
     fn e4_proves_secure() {
         let r = e4_secure_fixpoint();
         assert!(r.verdict.is_secure());
+        assert_eq!(verdict_kind(&r.verdict), "secure");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Every record is one [`Json`] value: its `Display` is the only writer and
 //! [`Json::parse`] the only reader (the workspace has no serde). The
-//! builders [`e6`], [`e7`], [`e8_lanes`], [`e9`] and [`e10`] turn a
-//! bench's measurements into a record, [`write_record`] stores it under
+//! builders [`e6`], [`e7`], [`e8_lanes`] and [`e9`] turn a bench's
+//! measurements into a record, [`write_record`] stores it under
 //! [`record_root`], and the `bench_trend` binary reads it back to gate the
 //! headline ratios. Times are whole microseconds in `*_us` fields; ratios
 //! are plain numbers.
@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use upec_ssc::{IterationStat, Verdict};
 
-use crate::portfolio::{PortfolioEntry, PortfolioReport, SetupComparison};
-use crate::{E8LanesComparison, ProcedureComparison, ScalingPoint};
+use crate::portfolio::{PortfolioEntry, PortfolioReport};
+use crate::{verdict_kind, E8LanesComparison, ProcedureComparison, ScalingPoint};
 
 /// A perf-record value: JSON without `null`.
 #[derive(Clone, Debug, PartialEq)]
@@ -366,15 +366,6 @@ fn iterations(v: &Verdict) -> Json {
     Json::Arr(v.iterations().iter().map(iteration).collect())
 }
 
-fn verdict_kind(v: &Verdict) -> Json {
-    match v {
-        Verdict::Secure(_) => "secure",
-        Verdict::Vulnerable(_) => "vulnerable",
-        Verdict::Inconclusive(_) => "inconclusive",
-    }
-    .into()
-}
-
 fn point(p: &ScalingPoint) -> Json {
     obj([
         ("words", p.words.into()),
@@ -395,26 +386,15 @@ fn procedure(p: &ProcedureComparison) -> Json {
 }
 
 fn entry(e: &PortfolioEntry) -> Json {
+    let result = e.result();
     obj([
         ("scenario", e.scenario.into()),
         ("words", e.words.into()),
         ("seed", Json::Str(format!("{:#018x}", e.seed))),
-        ("state_bits", e.result.state_bits.into()),
-        ("verdict", verdict_kind(&e.result.verdict)),
-        ("runtime_us", e.result.runtime.into()),
-        ("iterations", iterations(&e.result.verdict)),
-    ])
-}
-
-fn setup(s: &SetupComparison) -> Json {
-    obj([
-        ("words", s.words.into()),
-        ("cells", s.cells.into()),
-        ("scratch_setup_us", s.scratch.into()),
-        ("shared_base_us", s.shared_base.into()),
-        ("shared_cells_us", s.shared_cells.into()),
-        ("setup_speedup", s.speedup().into()),
-        ("aggregate_speedup", s.aggregate_speedup().into()),
+        ("state_bits", result.state_bits.into()),
+        ("verdict", verdict_kind(&result.verdict).into()),
+        ("runtime_us", result.runtime.into()),
+        ("iterations", iterations(&result.verdict)),
     ])
 }
 
@@ -461,12 +441,16 @@ pub fn e8_lanes(c: &E8LanesComparison) -> Json {
     ])
 }
 
-/// The E9 record: the parallel portfolio runner versus the `sequential`
-/// scenario loop's wall clock on the same matrix, with the pool size
-/// (`workers`) and host parallelism (`cores`) it ran on. `equivalent` attests that the
-/// parallel entries matched the sequential loop under
+/// The E9 record: the `parallel` portfolio run's wall clock versus the
+/// `sequential` one's (the same runner on one worker) on the same matrix,
+/// with the pool size (`workers`) and host parallelism (`cores`) it ran on.
+/// `equivalent` attests that the two runs matched under
 /// [`crate::portfolio::fingerprint`]; `entries` are the parallel run's, in
 /// matrix order, with their coordinate-derived seeds.
+///
+/// # Panics
+///
+/// Panics naming the first dead cell of `parallel`, if it has one.
 pub fn e9(
     parallel: &PortfolioReport,
     sequential: Duration,
@@ -483,29 +467,6 @@ pub fn e9(
         ("speedup", ratio(sequential, parallel.wall)),
         ("equivalent", equivalent.into()),
         ("entries", Json::Arr(parallel.entries.iter().map(entry).collect())),
-    ])
-}
-
-/// The E10 record: per SoC size, the analysis setup (product build and
-/// base-session encoding) of a from-scratch cell against a *marginal*
-/// shared cell (`setup_speedup`), and with the once-per-size shared base
-/// (`shared_base_us`) put back in (`aggregate_speedup`); plus the whole
-/// portfolio's wall clock both ways (`scratch` and `shared`). `equivalent`
-/// attests that the shared portfolio's fingerprint matched the
-/// from-scratch runner's.
-pub fn e10(
-    setups: &[SetupComparison],
-    scratch: Duration,
-    shared: Duration,
-    equivalent: bool,
-) -> Json {
-    obj([
-        ("experiment", "e10_shared".into()),
-        ("sizes", Json::Arr(setups.iter().map(setup).collect())),
-        ("scratch_wall_us", scratch.into()),
-        ("shared_wall_us", shared.into()),
-        ("wall_speedup", ratio(scratch, shared)),
-        ("equivalent", equivalent.into()),
     ])
 }
 
@@ -645,7 +606,7 @@ mod tests {
             round_trips(&record);
             seen += 1;
         }
-        assert!(seen >= 5, "found only {seen} committed records under {}", root.display());
+        assert!(seen >= 4, "found only {seen} committed records under {}", root.display());
     }
 
     #[test]
@@ -673,20 +634,12 @@ mod tests {
                 scenario: "dma_timer/leaky",
                 words: 8,
                 seed: 0xe4f2_f14c_459d_0786,
-                result: alg2,
+                outcome: Ok(alg2),
             }],
             wall: Duration::from_millis(50),
         };
         let e9 = e9(&portfolio, Duration::from_millis(100), 4, true);
-        let setup = SetupComparison {
-            words: 8,
-            cells: 4,
-            scratch: Duration::from_millis(30),
-            shared_base: Duration::from_millis(7),
-            shared_cells: Duration::from_millis(12),
-        };
-        let e10 = e10(&[setup], Duration::from_secs(2), Duration::from_secs(1), true);
-        for record in [&e6, &e7, &e9, &e10] {
+        for record in [&e6, &e7, &e9] {
             round_trips(record);
         }
 
@@ -702,8 +655,5 @@ mod tests {
         assert_eq!(e9.get("equivalent").and_then(Json::bool), Some(true));
         let entry = &e9.get("entries").and_then(Json::arr).unwrap()[0];
         assert_eq!(entry.get("seed").and_then(Json::str), Some("0xe4f2f14c459d0786"));
-        let size = &e10.get("sizes").and_then(Json::arr).unwrap()[0];
-        assert_eq!(num(size, "setup_speedup"), Some(2.5));
-        assert_eq!(num(&e10, "wall_speedup"), Some(2.0));
     }
 }

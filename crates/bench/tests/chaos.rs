@@ -1,11 +1,10 @@
-//! Fault-injection suite: deterministic chaos plans against the
-//! fault-isolated portfolio runner.
+//! Fault-injection suite: deterministic chaos plans against the portfolio
+//! runner.
 //!
-//! The acceptance criteria of the robustness work, end to end: a
-//! portfolio run with an injected cell panic (and separately, an
-//! exhausted budget / a forced cancellation) completes, reports that cell
-//! as failed/inconclusive with a machine-readable cause and retry count,
-//! and every *other* cell is bit-identical to an uninjected run.
+//! End to end: a portfolio run with an injected cell panic (and
+//! separately, an exhausted budget or a forced cancellation) completes,
+//! reports that cell as dead or inconclusive with a machine-readable
+//! cause, and every *other* cell is bit-identical to an uninjected run.
 //!
 //! The chaos registry is process-global, so every test here serializes on
 //! one mutex and arms its plan only inside the held section.
@@ -13,121 +12,92 @@
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use ssc_bench::chaos;
-use ssc_bench::portfolio::{
-    fingerprint_fallible, job_seed, run_portfolio_fallible, CellBudget, CellOutcome,
-    FalliblePortfolioReport, RetryPolicy,
-};
+use ssc_bench::portfolio::{fingerprint, job_seed, run_portfolio, PortfolioReport};
 use ssc_pool::Pool;
-use upec_ssc::Verdict;
+use upec_ssc::{InconclusiveReport, Verdict};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
 const SIZES: &[u32] = &[8];
 
-/// The uninjected reference: one unlimited-policy fallible run, computed
-/// once (under the serialization mutex, so no plan can be armed while it
-/// runs) and compared against by every injection test.
-fn baseline() -> &'static FalliblePortfolioReport {
-    static BASELINE: OnceLock<FalliblePortfolioReport> = OnceLock::new();
-    BASELINE.get_or_init(|| {
-        run_portfolio_fallible(&Pool::new(2), SIZES, &RetryPolicy::unlimited())
-    })
+/// The uninjected reference, one fingerprint line per cell: computed once
+/// (under the serialization mutex, before the caller arms its plan) and
+/// compared against by every injection test.
+fn baseline() -> &'static [String] {
+    static BASELINE: OnceLock<Vec<String>> = OnceLock::new();
+    BASELINE.get_or_init(|| lines(&run_portfolio(&Pool::new(2), SIZES)))
 }
 
-/// The verdict part of a cell's fingerprint line (strips the retry
-/// accounting, which legitimately differs across policies).
-fn verdict_lines(report: &FalliblePortfolioReport) -> Vec<String> {
-    fingerprint_fallible(report)
-        .lines()
-        .map(|l| l.split("#attempts=").next().unwrap().to_string())
-        .collect()
+fn lines(report: &PortfolioReport) -> Vec<String> {
+    fingerprint(report).lines().map(str::to_string).collect()
+}
+
+/// Asserts that every cell but the one seeded `target` matches `reference`.
+fn assert_survivors_match(report: &PortfolioReport, reference: &[String], target: u64) {
+    let lines = lines(report);
+    assert_eq!(lines.len(), reference.len(), "every cell keeps its matrix slot");
+    for (entry, (line, ref_line)) in report.entries.iter().zip(lines.iter().zip(reference)) {
+        if entry.seed != target {
+            assert_eq!(
+                line, ref_line,
+                "surviving cell {}@{} (workers={}) must be bit-identical to the uninjected run",
+                entry.scenario, entry.words, report.workers
+            );
+        }
+    }
+}
+
+/// The targeted cell's verdict, which must be inconclusive.
+fn inconclusive(report: &PortfolioReport, target: u64) -> &InconclusiveReport {
+    let entry = report.entries.iter().find(|e| e.seed == target).expect("cell present");
+    match &entry.result().verdict {
+        Verdict::Inconclusive(r) => r,
+        other => panic!("{}@{} must be inconclusive: {other}", entry.scenario, entry.words),
+    }
 }
 
 #[test]
 fn injected_cell_panic_is_isolated_and_survivors_match_uninjected_run() {
     let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     chaos::silence_injected_panics();
-    let reference = verdict_lines(baseline());
+    let reference = baseline();
     let target = job_seed("dma_timer/patched", 8);
 
     // The same plan must hit the same cell on every pool size: injection
     // is keyed by the cell's seed, never by scheduling.
     for workers in [1, 4] {
         let _plan = chaos::arm(chaos::panic_at_cell(target));
-        let report =
-            run_portfolio_fallible(&Pool::new(workers), SIZES, &RetryPolicy::unlimited());
+        let report = run_portfolio(&Pool::new(workers), SIZES);
         assert!(chaos::fired() >= 1, "the plan must actually have fired");
 
-        assert_eq!(report.cells.len(), 4, "panicked cells keep their matrix slot");
-        assert_eq!(report.panicked().count(), 1, "exactly the targeted cell dies");
-        let lines = verdict_lines(&report);
-        for (cell, (line, ref_line)) in
-            report.cells.iter().zip(lines.iter().zip(&reference))
-        {
-            if cell.seed == target {
-                let CellOutcome::Panicked { message } = &cell.outcome else {
-                    panic!("targeted cell must have panicked, got {:?}", cell.outcome);
-                };
-                assert!(
-                    chaos::is_injected_panic(message),
-                    "panic cause must be machine-readable: {message}"
-                );
-                assert_eq!(cell.attempts, 0, "no attempt completed on a panicked cell");
-                assert_eq!(cell.scenario, "dma_timer/patched");
-            } else {
-                assert_eq!(
-                    line, ref_line,
-                    "surviving cell {}@{} (workers={workers}) must be bit-identical \
-                     to the uninjected run",
-                    cell.scenario, cell.words
-                );
-            }
-        }
+        let dead: Vec<_> = report.entries.iter().filter(|e| e.outcome.is_err()).collect();
+        assert_eq!(dead.len(), 1, "exactly the targeted cell dies (workers={workers})");
+        assert_eq!((dead[0].scenario, dead[0].seed), ("dma_timer/patched", target));
+        let Err(message) = &dead[0].outcome else { unreachable!() };
+        assert!(
+            chaos::is_injected_panic(message),
+            "panic cause must be machine-readable: {message}"
+        );
+        assert_survivors_match(&report, reference, target);
     }
 }
 
 #[test]
-fn exhausted_budget_escalates_then_reports_inconclusive_with_cause() {
+fn exhausted_budget_reports_inconclusive_with_cause() {
     let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     chaos::silence_injected_panics();
-    let reference = verdict_lines(baseline());
+    let reference = baseline();
     // A secure cell: proving security needs UNSAT answers, and UNSAT needs
     // conflicts, so a forced zero-conflict budget is guaranteed to bite.
     let target = job_seed("hwpe_memory/patched", 8);
     let _plan = chaos::arm(chaos::exhaust_cell_budget(target));
 
-    // The final rung is unlimited so every *untargeted* cell concludes;
-    // the targeted cell's solves are forced to a zero-conflict budget at
-    // the solver regardless of the rung, so it runs the whole ladder dry.
-    let policy =
-        RetryPolicy::escalating(vec![CellBudget::conflicts(50), CellBudget::UNLIMITED]);
-    let report = run_portfolio_fallible(&Pool::new(2), SIZES, &policy);
-    assert!(chaos::fired() >= 2, "both rungs of the ladder must have been hit");
-
-    let lines = verdict_lines(&report);
-    for (cell, (line, ref_line)) in report.cells.iter().zip(lines.iter().zip(&reference)) {
-        let CellOutcome::Completed(entry) = &cell.outcome else {
-            panic!("no cell may panic here: {:?}", cell.outcome);
-        };
-        if cell.seed == target {
-            assert_eq!(cell.attempts, 2, "the whole ladder must have been consumed");
-            assert_eq!(cell.final_budget, CellBudget::UNLIMITED);
-            let Verdict::Inconclusive(r) = &entry.result.verdict else {
-                panic!("exhausted cell must be inconclusive: {}", entry.result.verdict);
-            };
-            assert_eq!(r.cause.code(), "interrupt:conflict-budget");
-            assert!(
-                !r.iterations.is_empty(),
-                "the partial trajectory up to the interrupt must be recorded"
-            );
-        } else {
-            assert_eq!(
-                line, ref_line,
-                "survivor {}@{} must match the uninjected run",
-                cell.scenario, cell.words
-            );
-        }
-    }
+    let report = run_portfolio(&Pool::new(2), SIZES);
+    assert!(chaos::fired() >= 1, "the exhaustion must actually have been injected");
+    let r = inconclusive(&report, target);
+    assert_eq!(r.cause.code(), "interrupt:conflict-budget");
+    assert!(!r.iterations.is_empty(), "the trajectory up to the interrupt must be recorded");
+    assert_survivors_match(&report, reference, target);
 }
 
 #[test]
@@ -137,15 +107,9 @@ fn forced_cancellation_reports_cancelled_without_work() {
     let target = job_seed("dma_timer/leaky", 8);
     let _plan = chaos::arm(chaos::cancel_cell(target));
 
-    let report = run_portfolio_fallible(&Pool::new(1), SIZES, &RetryPolicy::unlimited());
+    let report = run_portfolio(&Pool::new(1), SIZES);
     assert!(chaos::fired() >= 1);
-    let cell = report.cells.iter().find(|c| c.seed == target).expect("cell present");
-    let CellOutcome::Completed(entry) = &cell.outcome else {
-        panic!("cancellation must not panic the cell: {:?}", cell.outcome);
-    };
-    let Verdict::Inconclusive(r) = &entry.result.verdict else {
-        panic!("cancelled cell must be inconclusive: {}", entry.result.verdict);
-    };
+    let r = inconclusive(&report, target);
     assert_eq!(r.cause.code(), "interrupt:cancelled");
     let int = r.cause.interrupt().expect("cause carries the interrupt record");
     assert_eq!(int.stats.conflicts, 0, "a pre-cancelled solve must do no search work");

@@ -1,30 +1,28 @@
 //! Parallel/sequential equivalence of the scenario-portfolio runner: the
 //! fanned-out matrix (verdicts, iteration trajectories, merged record
-//! order and seeds) must be **bit-identical** to the plain sequential
-//! scenario loop for every pool size, on all four scenario configurations.
+//! order and seeds) must be **bit-identical** to the same runner on one
+//! worker — the plain sequential loop — for every pool size, on all four
+//! scenario configurations.
 //!
 //! One test function on purpose: the formal runs are the expensive part,
 //! so every assertion (equivalence across pool sizes 1 / 2 / `num_cpus`,
 //! per-scenario verdicts, the e9 record shape) shares the same runs.
 
 use ssc_bench::perf::{e9, Json};
-use ssc_bench::portfolio::{
-    fingerprint, run_portfolio, run_portfolio_sequential, scenario_matrix,
-};
+use ssc_bench::portfolio::{fingerprint, run_portfolio, scenario_matrix};
 use ssc_pool::Pool;
 
 #[test]
 fn parallel_portfolio_is_bit_identical_to_the_sequential_loop() {
     let sizes = [8u32];
-    let sequential = run_portfolio_sequential(&sizes);
+    let sequential = run_portfolio(&Pool::new(1), &sizes);
     let reference = fingerprint(&sequential);
     assert_eq!(sequential.entries.len(), scenario_matrix().len());
 
-    // Pool sizes 1, 2 and the machine's parallelism (deduplicated — on a
-    // 1-core host `num_cpus` collapses onto 1).
+    // Pool sizes 2 and the machine's parallelism, against the one-worker
+    // run (deduplicated — on a host with at most 2 cores they are one).
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut pool_sizes = vec![1usize, 2, cores];
-    pool_sizes.sort_unstable();
+    let mut pool_sizes = vec![2usize, cores.max(2)];
     pool_sizes.dedup();
 
     let mut two_workers = None;
@@ -45,14 +43,10 @@ fn parallel_portfolio_is_bit_identical_to_the_sequential_loop() {
     // Per-scenario expectations, carried through the deterministic merge.
     for (entry, scenario) in sequential.entries.iter().zip(scenario_matrix()) {
         assert_eq!(entry.scenario, scenario.name);
-        assert_eq!(
-            entry.result.verdict.is_vulnerable(),
-            scenario.leaky,
-            "unexpected verdict on {}",
-            entry.scenario
-        );
+        let verdict = &entry.result().verdict;
+        assert_eq!(verdict.is_vulnerable(), scenario.leaky, "verdict on {}", entry.scenario);
         assert!(
-            !entry.result.verdict.iterations().is_empty(),
+            !verdict.iterations().is_empty(),
             "{}: iteration stats must be carried into the merged entry",
             entry.scenario
         );

@@ -480,7 +480,7 @@ impl<'p> SessionPrefix<'p> {
     /// cycles, appends their input-eq + victim-macro blocks and pre-builds
     /// the new time step's state-equality terms — everything encoded
     /// eagerly so later forks inherit it.
-    pub fn ensure_window(&mut self, window: usize) {
+    fn ensure_window(&mut self, window: usize) {
         self.ipc.unroller_mut().ensure_cycle(window.saturating_sub(1));
         while self.shared.window() < window {
             let cycle = self.shared.window();
@@ -617,7 +617,7 @@ impl<'p> SessionPrefix<'p> {
 
     /// `Primary_Input_Constraints` at `cycle`: all non-port inputs equal
     /// between the instances.
-    pub fn input_eq(&mut self, cycle: usize) -> Vec<AigRef> {
+    fn input_eq(&mut self, cycle: usize) -> Vec<AigRef> {
         let inputs: Vec<Wire> = self.art.free_inputs().into_iter().map(|(w, _)| w).collect();
         let mut out = Vec::new();
         for w in inputs {
@@ -632,7 +632,7 @@ impl<'p> SessionPrefix<'p> {
     /// `Victim_Task_Executing` at `cycle` (paper Sec. 3.3): accesses to
     /// protected addresses may differ between the instances (they are the
     /// confidential information); all other accesses are equal.
-    pub fn victim_macro(&mut self, cycle: usize) -> Vec<AigRef> {
+    fn victim_macro(&mut self, cycle: usize) -> Vec<AigRef> {
         let p = self.art.port_src;
         let req_a = self.input_word(Instance::A, p.req, cycle);
         let req_b = self.input_word(Instance::B, p.req, cycle);
@@ -685,7 +685,7 @@ impl<'p> SessionPrefix<'p> {
     /// pre-built (and encoded) when the prefix grows, so every fork and
     /// every fixpoint iteration reuses the same AIG node and CNF variables
     /// regardless of how the surrounding set shrinks.
-    pub fn atom_eq_term(&mut self, atom: StateAtom, t: usize) -> AigRef {
+    fn atom_eq_term(&mut self, atom: StateAtom, t: usize) -> AigRef {
         if let Some(&term) = self.eq_terms.get(&(atom, t)) {
             return term;
         }
@@ -721,7 +721,7 @@ impl<'p> SessionPrefix<'p> {
 ///   re-encoding anything;
 /// - the scenario's own assumptions (device-window validity, firmware
 ///   constraints, quiescing) are kept in a second ledger and only
-///   *extended* when the window grows ([`Session::ensure_window`]);
+///   *extended* when the window grows ([`Session::base_assumptions`]);
 /// - the negated proof goal is installed as an activation-literal-guarded
 ///   clause ([`Session::check_window`]) and retired when the sets change,
 ///   which removes the obligation without invalidating the learnt-clause
@@ -808,7 +808,7 @@ impl<'p> Session<'p> {
 
     /// Grows the window to `window` transitions, extending the unrolling
     /// and both assumption ledgers by exactly the new cycles.
-    pub fn ensure_window(&mut self, window: usize) {
+    fn ensure_window(&mut self, window: usize) {
         self.prefix.ensure_window(window);
         while self.scenario.window() < window {
             let cycle = self.scenario.window();
@@ -916,18 +916,6 @@ impl<'p> Session<'p> {
         self.prefix.atom_word(inst, atom, t)
     }
 
-    /// `Primary_Input_Constraints` at `cycle` (see
-    /// [`SessionPrefix::input_eq`]).
-    pub fn input_eq(&mut self, cycle: usize) -> Vec<AigRef> {
-        self.prefix.input_eq(cycle)
-    }
-
-    /// `Victim_Task_Executing` at `cycle` (see
-    /// [`SessionPrefix::victim_macro`]).
-    pub fn victim_macro(&mut self, cycle: usize) -> Vec<AigRef> {
-        self.prefix.victim_macro(cycle)
-    }
-
     // ------------------------------------------------------------------
     // Scenario macros
     // ------------------------------------------------------------------
@@ -948,7 +936,7 @@ impl<'p> Session<'p> {
 
     /// Firmware-constraint assumptions on the symbolic *starting state*
     /// (the window-invariant half of the constraints).
-    pub fn firmware_state_assumptions(&mut self) -> Vec<AigRef> {
+    fn firmware_state_assumptions(&mut self) -> Vec<AigRef> {
         let mut out = Vec::new();
         let constraints = self.an.spec.constraints.clone();
         for c in &constraints {
@@ -969,7 +957,7 @@ impl<'p> Session<'p> {
 
     /// Firmware port-write constraints for one `cycle` (the per-cycle half
     /// of the constraints, appended as the window grows).
-    pub fn firmware_port_assumptions(&mut self, cycle: usize) -> Vec<AigRef> {
+    fn firmware_port_assumptions(&mut self, cycle: usize) -> Vec<AigRef> {
         let mut out = Vec::new();
         let constraints = self.an.spec.constraints.clone();
         for c in &constraints {
@@ -996,7 +984,7 @@ impl<'p> Session<'p> {
 
     /// Quiescing assumptions: the named busy flags are 0 in the symbolic
     /// starting state of both instances.
-    pub fn quiescing_assumptions(&mut self) -> Vec<AigRef> {
+    fn quiescing_assumptions(&mut self) -> Vec<AigRef> {
         let names = self.an.spec.quiesced_ips.clone();
         let mut out = Vec::new();
         for name in &names {
@@ -1040,17 +1028,12 @@ impl<'p> Session<'p> {
         }
     }
 
-    /// The guarded equality term of one atom at time `t` (see
-    /// [`SessionPrefix::atom_eq_term`]).
-    pub fn atom_eq_term(&mut self, atom: StateAtom, t: usize) -> AigRef {
-        self.prefix.atom_eq_term(atom, t)
-    }
-
     /// `State_Equivalence(S)` at time `t`: every atom in `S` equal between
     /// the instances; victim-allocatable memory words are exempt while they
     /// lie inside the protected range.
     pub fn state_eq(&mut self, set: &AtomSet, t: usize) -> AigRef {
-        let conj: Vec<AigRef> = set.iter().map(|&atom| self.atom_eq_term(atom, t)).collect();
+        let conj: Vec<AigRef> =
+            set.iter().map(|&atom| self.prefix.atom_eq_term(atom, t)).collect();
         let aig = self.prefix.ipc.unroller_mut().aig_mut();
         aig.and_all(conj)
     }

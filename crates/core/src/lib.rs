@@ -36,9 +36,9 @@
 //! - the standing assumptions are cached per cycle and only *appended*
 //!   when the window grows ([`Session::base_assumptions`] copies out of
 //!   the cache),
-//! - per-atom state-equality terms are cached ([`Session::atom_eq_term`]),
-//!   so shrinking a state set between fixpoint iterations reuses every
-//!   surviving atom's encoding,
+//! - per-atom state-equality terms are cached (behind
+//!   [`Session::state_eq`]), so shrinking a state set between fixpoint
+//!   iterations reuses every surviving atom's encoding,
 //! - the negated goal (one disjunct per tracked atom and goal cycle) is a
 //!   clause guarded by an *activation literal*, solved in one sequential
 //!   call ([`Session::check_window`]); retiring the literal removes the

@@ -26,8 +26,8 @@ use ssc_sat::chaos::{self, ChaosPlan, Fault, Site};
 use ssc_sat::SolverStats;
 use ssc_soc::{Soc, SocConfig};
 use upec_ssc::{
-    replay_on_simulator, Budget, InconclusiveCause, ProductArtifact, Session, SessionPrefix,
-    UpecAnalysis, UpecSpec, Verdict,
+    replay_on_simulator, Budget, InconclusiveCause, InconclusiveReport, ProductArtifact, Session,
+    SessionPrefix, UpecAnalysis, UpecSpec, Verdict,
 };
 
 /// The formal twin of each simulation scenario: `(name, spec, leaky)` —
@@ -195,19 +195,29 @@ const CHAOS_TAG: u64 = 0xE13C;
 fn budget_interrupt_surfaces_as_inconclusive() {
     // A conflict budget far below what the secure fixpoint needs: the run
     // must stop as `Inconclusive(Interrupted)` — never panic, never decide
-    // — while the restart/reduction machinery drives the search.
+    // — while the restart/reduction machinery drives the search, and a
+    // counter-based budget must stop it at the same point every time.
     let soc = Soc::build(SocConfig::verification_sized(8, 8));
     let an = UpecAnalysis::new(&soc.netlist, UpecSpec::soc_fixed()).expect("spec ok");
-    match an.alg2_budgeted(Budget::unlimited().with_conflicts(3)) {
-        Verdict::Inconclusive(r) => {
-            assert!(
-                matches!(r.cause, InconclusiveCause::Interrupted(_)),
-                "expected an interrupt, got {}",
-                r.cause
-            );
-        }
+    let run = || match an.alg2_budgeted(Budget::unlimited().with_conflicts(3)) {
+        Verdict::Inconclusive(r) => r,
         other => panic!("a 3-conflict budget cannot complete the secure proof: {other}"),
-    }
+    };
+    let steps = |r: &InconclusiveReport| -> Vec<_> {
+        r.iterations
+            .iter()
+            .map(|it| {
+                (it.window, it.set_size, it.removed, it.solver.conflicts, it.solver.propagations)
+            })
+            .collect()
+    };
+    let first = run();
+    let InconclusiveCause::Interrupted(int) = &first.cause else {
+        panic!("expected an interrupt, got {}", first.cause);
+    };
+    assert!(int.cause.is_deterministic(), "a conflict budget interrupts deterministically");
+    assert!(!first.iterations.is_empty(), "the trajectory up to the interrupt must be recorded");
+    assert_eq!(steps(&run()), steps(&first), "a second run must stop at the same point");
 }
 
 #[test]
