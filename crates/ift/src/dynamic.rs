@@ -8,7 +8,7 @@
 //! formal procedure it is benchmarked against.
 
 use ssc_netlist::lanes::Block;
-use ssc_netlist::{Bv, MemId, Netlist};
+use ssc_netlist::{Bv, MemId, Netlist, Wire};
 use ssc_sim::{BatchSim, Sim};
 
 use crate::instrument::Instrumented;
@@ -121,10 +121,17 @@ impl<'n> TaintSim<'n> {
 /// The API mirrors [`TaintSim`] with per-lane variants; taint sinks are
 /// read back as *lane masks* ([`Block<W>`] — lane `l` set = the flow was
 /// observed in trial `l`), so one netlist pass answers `64·W` Monte-Carlo
-/// trials of the dynamic IFT baseline.
+/// trials of the dynamic IFT baseline. Every shadow wire and memory is
+/// resolved once, in [`BatchTaintSim::new`].
 pub struct BatchTaintSim<'n, const W: usize = 1> {
     sim: BatchSim<'n, W>,
-    netlist: &'n Netlist,
+    /// `(source name, taint input)` of every taint source.
+    sources: &'n [(String, Wire)],
+    /// `(signal name, taint companion)` of every named signal, sorted by
+    /// name.
+    shadows: Vec<(&'n str, Wire)>,
+    /// `(memory name, shadow memory)` of every memory.
+    shadow_mems: Vec<(&'n str, MemId)>,
 }
 
 impl<'n, const W: usize> BatchTaintSim<'n, W> {
@@ -138,8 +145,19 @@ impl<'n, const W: usize> BatchTaintSim<'n, W> {
     /// Panics if the instrumented netlist fails validation (it cannot, by
     /// construction).
     pub fn new(inst: &'n Instrumented) -> Self {
-        let sim = BatchSim::new(&inst.netlist).expect("instrumented netlist is checked");
-        BatchTaintSim { sim, netlist: &inst.netlist }
+        let netlist = &inst.netlist;
+        let sim = BatchSim::new(netlist).expect("instrumented netlist is checked");
+        // The name table is sorted, and every shadow name shares the `t$`
+        // prefix, so the stripped names stay sorted.
+        let shadows = netlist
+            .iter_names()
+            .filter_map(|(name, id)| Some((name.strip_prefix("t$")?, netlist.wire_of(id))))
+            .collect();
+        let shadow_mems = netlist
+            .iter_mems()
+            .filter_map(|(mid, m)| Some((m.name.strip_prefix("t$")?, mid)))
+            .collect();
+        BatchTaintSim { sim, sources: &inst.taint_inputs, shadows, shadow_mems }
     }
 
     /// Access the underlying batch simulator.
@@ -158,6 +176,23 @@ impl<'n, const W: usize> BatchTaintSim<'n, W> {
         self.sim.set_input_lanes(name, values);
     }
 
+    /// The taint input of a source.
+    fn taint_port(&self, source: &str) -> Wire {
+        self.sources
+            .iter()
+            .find(|(name, _)| name == source)
+            .map(|&(_, w)| w)
+            .unwrap_or_else(|| panic!("`{source}` is not a taint source"))
+    }
+
+    /// The taint companion of a named signal.
+    fn shadow(&self, name: &str) -> Wire {
+        self.shadows
+            .binary_search_by_key(&name, |&(n, _)| n)
+            .map(|i| self.shadows[i].1)
+            .unwrap_or_else(|_| panic!("no taint companion for `{name}`"))
+    }
+
     /// Drives the taint of a source input in all lanes. Mask bits beyond
     /// the port width are ignored.
     ///
@@ -165,20 +200,8 @@ impl<'n, const W: usize> BatchTaintSim<'n, W> {
     ///
     /// Panics if `name` was not declared a taint source.
     pub fn set_taint(&mut self, source: &str, mask: u64) {
-        let (port, w) = self.taint_port(source);
-        // Broadcast fast-path: one splat per bit position, no per-lane
-        // packing (mirrors `BatchSim::set_input`).
-        self.sim.set_input(&port, mask & Bv::mask_for(w.width()));
-    }
-
-    /// Resolves the shadow input port of a taint source.
-    fn taint_port(&self, source: &str) -> (String, ssc_netlist::Wire) {
-        let port = format!("t${source}");
-        let w = self
-            .netlist
-            .find(&port)
-            .unwrap_or_else(|| panic!("`{source}` is not a taint source"));
-        (port, w)
+        let w = self.taint_port(source);
+        self.sim.set_input_wire(w, Bv::new(w.width(), mask));
     }
 
     /// Drives the taint of a source input with one mask per lane. Mask
@@ -188,12 +211,8 @@ impl<'n, const W: usize> BatchTaintSim<'n, W> {
     ///
     /// Panics if `name` was not declared a taint source.
     pub fn set_taint_lanes(&mut self, source: &str, masks: &[u64]) {
-        let (port, w) = self.taint_port(source);
-        let mut vals = masks.to_vec();
-        for v in &mut vals {
-            *v &= Bv::mask_for(w.width());
-        }
-        self.sim.set_input_lanes(&port, &vals);
+        let w = self.taint_port(source);
+        self.sim.set_input_wire_lanes_truncated(w, masks);
     }
 
     /// Advances one cycle in every lane.
@@ -212,10 +231,7 @@ impl<'n, const W: usize> BatchTaintSim<'n, W> {
     ///
     /// Panics if the signal has no taint companion.
     pub fn taint_of_lane(&mut self, name: &str, lane: usize) -> Bv {
-        let w = self
-            .netlist
-            .find(&format!("t${name}"))
-            .unwrap_or_else(|| panic!("no taint companion for `{name}`"));
+        let w = self.shadow(name);
         self.sim.peek_lane(w, lane)
     }
 
@@ -226,23 +242,13 @@ impl<'n, const W: usize> BatchTaintSim<'n, W> {
     ///
     /// Panics if the memory does not exist.
     pub fn mem_tainted_lanes(&mut self, mem_name: &str) -> Block<W> {
-        let mid: MemId = self
-            .netlist
-            .find_mem(&format!("t${mem_name}"))
+        let mid = self
+            .shadow_mems
+            .iter()
+            .find(|(name, _)| *name == mem_name)
+            .map(|&(_, mid)| mid)
             .unwrap_or_else(|| panic!("no shadow memory for `{mem_name}`"));
-        let words = self.netlist.mem(mid).words;
-        let mut mask = Block::ZERO;
-        for i in 0..words {
-            for l in 0..Self::LANES {
-                if !mask.bit(l) && !self.sim.read_mem_lane(mid, i, l).is_zero() {
-                    mask.set_bit(l, true);
-                }
-            }
-            if mask == Block::ONES {
-                break;
-            }
-        }
-        mask
+        self.sim.mem_nonzero_lanes(mid)
     }
 
     /// The lane mask of trials in which the named register's taint
@@ -252,17 +258,8 @@ impl<'n, const W: usize> BatchTaintSim<'n, W> {
     ///
     /// Panics if the register has no taint companion.
     pub fn reg_tainted_lanes(&mut self, reg_name: &str) -> Block<W> {
-        let w = self
-            .netlist
-            .find(&format!("t${reg_name}"))
-            .unwrap_or_else(|| panic!("no taint companion for `{reg_name}`"));
-        let mut mask = Block::ZERO;
-        for (l, &v) in self.sim.peek_lanes(w).iter().enumerate() {
-            if v != 0 {
-                mask.set_bit(l, true);
-            }
-        }
-        mask
+        let w = self.shadow(reg_name);
+        self.sim.nonzero_lanes(w)
     }
 }
 

@@ -778,9 +778,11 @@ impl Netlist {
     /// Returns the first violated [`NetlistError`].
     pub fn check(&self) -> Result<(), NetlistError> {
         let n = self.nodes.len() as u32;
-        let check_id = |id: SignalId, what: &str| -> Result<(), NetlistError> {
+        // The detail is formatted only for a dangling id: a checked
+        // netlist pays no allocation per reference.
+        let check_id = |id: SignalId, what: &dyn Fn() -> String| -> Result<(), NetlistError> {
             if id.0 >= n {
-                Err(NetlistError::DanglingSignal { detail: what.to_string() })
+                Err(NetlistError::DanglingSignal { detail: what() })
             } else {
                 Ok(())
             }
@@ -792,7 +794,7 @@ impl Netlist {
                     let next = info.next.ok_or_else(|| NetlistError::UnconnectedReg {
                         name: info.name.clone(),
                     })?;
-                    check_id(next, &format!("next of reg `{}`", info.name))?;
+                    check_id(next, &|| format!("next of reg `{}`", info.name))?;
                     if self.width_of(next) != info.width {
                         return Err(NetlistError::WidthMismatch {
                             detail: format!("reg `{}` next width", info.name),
@@ -801,12 +803,12 @@ impl Netlist {
                 }
                 Node::Op { op, args, width } => {
                     for &a in args {
-                        check_id(a, &format!("arg of op node {}", id.0))?;
+                        check_id(a, &|| format!("arg of op node {}", id.0))?;
                     }
                     self.check_op(*op, args, *width)?;
                 }
                 Node::MemRead { mem, addr, .. } => {
-                    check_id(*addr, "memread addr")?;
+                    check_id(*addr, &|| "memread addr".to_string())?;
                     if mem.index() >= self.mems.len() {
                         return Err(NetlistError::DanglingSignal {
                             detail: format!("memread references missing memory {}", mem.0),
@@ -818,9 +820,9 @@ impl Netlist {
         }
         for m in &self.mems {
             for wp in &m.write_ports {
-                check_id(wp.en, &format!("write en of `{}`", m.name))?;
-                check_id(wp.addr, &format!("write addr of `{}`", m.name))?;
-                check_id(wp.data, &format!("write data of `{}`", m.name))?;
+                check_id(wp.en, &|| format!("write en of `{}`", m.name))?;
+                check_id(wp.addr, &|| format!("write addr of `{}`", m.name))?;
+                check_id(wp.data, &|| format!("write data of `{}`", m.name))?;
                 if self.width_of(wp.en) != 1 {
                     return Err(NetlistError::WidthMismatch {
                         detail: format!("write enable of `{}` must be 1 bit", m.name),

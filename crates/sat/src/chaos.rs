@@ -42,12 +42,14 @@ pub enum Fault {
     /// interrupts with [`InterruptCause::Conflicts`](crate::InterruptCause::Conflicts)
     /// at its first conflict (a solve that needs no conflicts still
     /// completes — exhaustion can only be observed where effort is
-    /// actually spent). Only meaningful at [`Site::Solve`].
+    /// actually spent). Only [`Site::Solve`] acts on it, so [`arm`]
+    /// rejects it at any other site.
     ExhaustBudget,
     /// Behave as if a cancellation token was raised before the matching
     /// solve started: it returns
     /// [`InterruptCause::Cancelled`](crate::InterruptCause::Cancelled)
-    /// without doing any work. Only meaningful at [`Site::Solve`].
+    /// without doing any work. Only [`Site::Solve`] acts on it, so
+    /// [`arm`] rejects it at any other site.
     Cancel,
 }
 
@@ -89,7 +91,16 @@ impl Drop for ChaosGuard {
 ///
 /// Panics if a plan is already armed: the registry holds one plan at a
 /// time, and concurrent arming is almost certainly a test-isolation bug.
+/// Also panics, naming the pair, if no caller of `plan.site` acts on
+/// `plan.fault` (a budget fault anywhere but [`Site::Solve`]): such a plan
+/// would count in [`fired`] without injecting anything.
 pub fn arm(plan: ChaosPlan) -> ChaosGuard {
+    assert!(
+        plan.fault == Fault::Panic || plan.site == Site::Solve,
+        "chaos: nothing acts on {:?} at {:?}; only Fault::Panic fires there",
+        plan.fault,
+        plan.site
+    );
     let mut slot = PLAN.write().unwrap_or_else(std::sync::PoisonError::into_inner);
     assert!(slot.is_none(), "a chaos plan is already armed: {:?}", slot.unwrap());
     *slot = Some(plan);
@@ -165,6 +176,29 @@ mod tests {
         assert_eq!(fired(), 1);
         drop(guard);
         assert_eq!(point(Site::Solve, 42), None);
+    }
+
+    #[test]
+    fn arm_rejects_budget_faults_off_the_solve_site() {
+        let _s = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for site in [Site::CellSetup, Site::Encode] {
+            for fault in [Fault::ExhaustBudget, Fault::Cancel] {
+                let err = std::panic::catch_unwind(|| arm(ChaosPlan { site, key: None, fault }))
+                    .err()
+                    .unwrap_or_else(|| panic!("arm accepted {fault:?} at {site:?}"));
+                let msg = err.downcast_ref::<String>().expect("string payload");
+                assert!(
+                    msg.contains(&format!("{fault:?}")) && msg.contains(&format!("{site:?}")),
+                    "the panic must name the pair: {msg}"
+                );
+                // The rejected plan never reached the registry.
+                assert_eq!(point(site, 0), None);
+            }
+        }
+        // A panic plan at the same sites, and a budget fault at a solve,
+        // still arm.
+        drop(arm(ChaosPlan { site: Site::CellSetup, key: None, fault: Fault::Panic }));
+        drop(arm(ChaosPlan { site: Site::Solve, key: None, fault: Fault::Cancel }));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The width-generic bit-sliced evaluation domain and its simulator
-//! front-end.
+//! The compiled bit-sliced lane simulator.
 //!
 //! [`BatchSim<W>`] evaluates `64·W` independent stimuli per netlist walk. A
 //! `w`-bit signal is stored as `w` [`Block<W>`]s where block `i` holds bit
@@ -9,377 +8,104 @@
 //! memory addressing) is resolved with lane masks instead of branches. The
 //! kernels are written word-wise over `[u64; W]`, so `W = 1` is the classic
 //! 64-lane `u64` engine and `W = 4` a 256-lane engine whose inner loops
-//! autovectorize to AVX2/SVE registers.
+//! autovectorize to SIMD registers.
 //!
-//! Memories are the one exception to the bit-sliced layout: they keep
-//! *per-lane scalar* words (`data[word * lanes + lane]`), because memory
-//! reads and writes are address-dependent gathers/scatters — the
-//! packed↔scalar transposition happens at the memory boundary and nowhere
-//! else.
+//! [`BatchSim::new`] compiles the netlist once:
 //!
-//! Every lane is bit-identical to a scalar [`crate::Sim`] run fed the same
-//! stimulus — for every `W`: the lanes share no state and the domain is
-//! cross-checked against the scalar semantics property-by-property (and
-//! `W = 4` against `W = 1`).
+//! - every signal owns `width` blocks at a fixed offset of one flat
+//!   *arena*, laid out in topological order, so each result sits above
+//!   all of its arguments. A bit slice owns no blocks of its own: its
+//!   offset points into its operand's blocks;
+//! - every other combinational node becomes one *tape* step: an operator
+//!   (or memory read) with its width, its result offset and its argument
+//!   offsets. Evaluation runs the tape top to bottom and touches nothing
+//!   but the arena and the memories;
+//! - memories are bit-sliced too: word `a` of a `w`-bit memory is `w`
+//!   blocks, bit `i` of every lane in block `a·w + i`. A read or write
+//!   groups the lanes by address. When every lane holds the same address
+//!   (the common case in a channel sweep) that is one group, so the access
+//!   is a copy or a masked select of `w` blocks; otherwise each distinct
+//!   address costs one lane-mask compare and one masked select.
+//!
+//! Stepping allocates nothing once the simulator is built. Every lane is
+//! bit-identical to a scalar [`crate::Sim`] run fed the same stimulus, for
+//! every `W`: the lanes share no state, and the test suites compare lanes
+//! against the scalar reference (and `W = 4` against `W = 1`).
 
 use ssc_netlist::lanes::{self, Block};
-use ssc_netlist::{Bv, MemId, Netlist, NetlistError, Node, Op, SignalId, Wire};
+use ssc_netlist::{analysis, Bv, MemId, Netlist, NetlistError, Node, Op, SignalId, Wire};
 
-use crate::domain::EvalDomain;
-use crate::engine::Engine;
 use crate::trace::BatchTrace;
 
 /// Block width (in `u64` words) of the wide 256-lane instantiation.
 pub const WIDE_WORDS: usize = 4;
 
-/// A bit-sliced value: `bits[i]` holds bit `i` of all `64·W` lanes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LaneValue<const W: usize = 1> {
-    width: u32,
-    bits: Vec<Block<W>>,
+/// What one tape step computes.
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    /// A word-level operator. Never [`Op::Slice`]: a slice is a view.
+    Op(Op),
+    /// A combinational read of memory `mems[i]`.
+    MemRead(usize),
 }
 
-impl<const W: usize> LaneValue<W> {
-    /// The signal width in bits (`bits().len()`).
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// The bit-position blocks (see [`ssc_netlist::lanes`] for the layout).
-    pub fn bits(&self) -> &[Block<W>] {
-        &self.bits
-    }
-
-    /// Extracts one lane as a [`Bv`].
-    pub fn lane(&self, l: usize) -> Bv {
-        Bv::new(self.width, lanes::lane_of(&self.bits, l))
-    }
-
-    /// All `64·W` lanes as scalars, lane-indexed.
-    pub fn unpack(&self) -> Vec<u64> {
-        let rows = lanes::unpack_block(&self.bits);
-        let mut out = Vec::with_capacity(lanes::block_lanes::<W>());
-        for row in &rows {
-            out.extend_from_slice(row);
-        }
-        out
-    }
-
-    fn resize(&mut self, width: u32) {
-        self.width = width;
-        self.bits.resize(width as usize, Block::ZERO);
-    }
+/// One pre-decoded tape step: a kernel over fixed arena offsets.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    kernel: Kernel,
+    /// Result width in bits, which is its number of blocks.
+    width: u32,
+    /// Arena offset of the result. Every argument lies below it.
+    out: u32,
+    /// Arena offsets of the arguments (unused slots are 0).
+    args: [u32; 3],
+    /// Width of the argument whose width may differ from the result's: the
+    /// operand of a compare, reduction or extension, the low half of a
+    /// concatenation, the amount of a dynamic shift, the address of a
+    /// memory read.
+    arg_width: u32,
 }
 
-/// A bit-sliced memory: per-lane scalar words, `data[word * lanes + lane]`.
-#[derive(Clone, Debug)]
-pub struct LaneMem<const W: usize = 1> {
-    width: u32,
+/// A bit-sliced memory: bit `i` of word `a` is block `base + a·width + i`
+/// of the memory store.
+#[derive(Clone, Copy, Debug)]
+struct MemSlot {
+    base: usize,
     words: u32,
-    data: Vec<u64>,
+    width: u32,
 }
 
-impl<const W: usize> LaneMem<W> {
-    const LANES: usize = lanes::block_lanes::<W>();
-
-    /// Reads the word at `index` in `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range (an unchecked lane would silently
-    /// alias a neighbouring word's data in the flat layout).
-    pub fn word(&self, index: u32, lane: usize) -> Bv {
-        assert!(lane < Self::LANES, "lane {lane} out of range");
-        Bv::new(self.width, self.data[index as usize * Self::LANES + lane])
+impl MemSlot {
+    /// The store blocks of every word.
+    fn blocks(&self) -> std::ops::Range<usize> {
+        self.base..self.base + self.words as usize * self.width as usize
     }
 
-    /// Overwrites the word at `index` in `lane` (masked to the word width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn set_word(&mut self, index: u32, lane: usize, value: Bv) {
-        assert!(lane < Self::LANES, "lane {lane} out of range");
-        self.data[index as usize * Self::LANES + lane] = value.val();
+    /// The store blocks of word `addr`, or `None` out of range.
+    fn word(&self, addr: u64) -> Option<std::ops::Range<usize>> {
+        (addr < u64::from(self.words)).then(|| {
+            let start = self.base + addr as usize * self.width as usize;
+            start..start + self.width as usize
+        })
     }
 }
 
-/// The width-generic bit-sliced evaluation domain: `W` `u64` words per
-/// block, `64·W` lanes per walk.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BitSliceDomain<const W: usize = 1>;
+/// A memory write port over arena offsets.
+#[derive(Clone, Copy, Debug)]
+struct PortSlot {
+    mem: usize,
+    en: u32,
+    addr: u32,
+    addr_width: u32,
+    data: u32,
+}
 
-impl<const W: usize> EvalDomain for BitSliceDomain<W> {
-    type Value = LaneValue<W>;
-    type Mem = LaneMem<W>;
-
-    fn value_zero(width: u32) -> LaneValue<W> {
-        LaneValue { width, bits: vec![Block::ZERO; width as usize] }
-    }
-
-    fn value_const(bv: Bv) -> LaneValue<W> {
-        let mut v = Self::value_zero(bv.width());
-        lanes::broadcast_block(&mut v.bits, bv.val());
-        v
-    }
-
-    fn value_dummy() -> LaneValue<W> {
-        LaneValue { width: 0, bits: Vec::new() }
-    }
-
-    fn value_assign(dst: &mut LaneValue<W>, src: &LaneValue<W>) {
-        dst.width = src.width;
-        dst.bits.clear();
-        dst.bits.extend_from_slice(&src.bits);
-    }
-
-    fn eval_op(
-        op: Op,
-        width: u32,
-        values: &[LaneValue<W>],
-        args: &[SignalId],
-        out: &mut LaneValue<W>,
-    ) {
-        let v = |i: usize| &values[args[i].index()];
-        out.resize(width);
-        let w = width as usize;
-        match op {
-            Op::Not => {
-                let a = v(0);
-                for i in 0..w {
-                    out.bits[i] = !a.bits[i];
-                }
-            }
-            Op::And | Op::Or | Op::Xor => {
-                let (a, b) = (v(0), v(1));
-                for i in 0..w {
-                    out.bits[i] = match op {
-                        Op::And => a.bits[i] & b.bits[i],
-                        Op::Or => a.bits[i] | b.bits[i],
-                        _ => a.bits[i] ^ b.bits[i],
-                    };
-                }
-            }
-            Op::Add => {
-                let (a, b) = (v(0), v(1));
-                let mut carry = Block::ZERO;
-                for i in 0..w {
-                    let (x, y) = (a.bits[i], b.bits[i]);
-                    let xy = x ^ y;
-                    out.bits[i] = xy ^ carry;
-                    carry = (x & y) | (carry & xy);
-                }
-            }
-            Op::Sub => {
-                let (a, b) = (v(0), v(1));
-                let mut borrow = Block::ZERO;
-                for i in 0..w {
-                    let (x, y) = (a.bits[i], b.bits[i]);
-                    out.bits[i] = x ^ y ^ borrow;
-                    borrow = (!x & y) | ((!x | y) & borrow);
-                }
-            }
-            Op::Mul => {
-                let (a, b) = (v(0), v(1));
-                out.bits[..w].fill(Block::ZERO);
-                for j in 0..w {
-                    let sel = b.bits[j];
-                    if sel.is_zero() {
-                        continue;
-                    }
-                    let mut carry = Block::ZERO;
-                    for i in j..w {
-                        let p = a.bits[i - j] & sel;
-                        let o = out.bits[i];
-                        let s = o ^ p;
-                        out.bits[i] = s ^ carry;
-                        carry = (o & p) | (carry & s);
-                    }
-                }
-            }
-            Op::Eq => {
-                let (a, b) = (v(0), v(1));
-                let mut acc = Block::ONES;
-                for i in 0..a.bits.len() {
-                    acc &= !(a.bits[i] ^ b.bits[i]);
-                }
-                out.bits[0] = acc;
-            }
-            Op::Ult | Op::Slt => {
-                let (a, b) = (v(0), v(1));
-                let top = a.bits.len() - 1;
-                let mut borrow = Block::ZERO;
-                for i in 0..a.bits.len() {
-                    // Signed comparison = unsigned with both sign bits
-                    // flipped.
-                    let flip = Block::splat(op == Op::Slt && i == top);
-                    let (x, y) = (a.bits[i] ^ flip, b.bits[i] ^ flip);
-                    borrow = (!x & y) | ((!x | y) & borrow);
-                }
-                out.bits[0] = borrow;
-            }
-            Op::ShlC(s) => {
-                let a = v(0);
-                let s = s as usize;
-                for i in (0..w).rev() {
-                    out.bits[i] = if i >= s { a.bits[i - s] } else { Block::ZERO };
-                }
-            }
-            Op::ShrC(s) => {
-                let a = v(0);
-                let s = s as usize;
-                for i in 0..w {
-                    out.bits[i] = if i + s < w { a.bits[i + s] } else { Block::ZERO };
-                }
-            }
-            Op::SarC(s) => {
-                let a = v(0);
-                let s = (s as usize).min(w - 1);
-                for i in 0..w {
-                    out.bits[i] = a.bits[(i + s).min(w - 1)];
-                }
-            }
-            Op::Shl | Op::Shr | Op::Sar => {
-                let (a, amt) = (v(0), v(1));
-                out.bits[..w].copy_from_slice(&a.bits);
-                let sign = a.bits[w - 1];
-                // Lanes whose amount reaches the width shift everything out.
-                let mut big = Block::ZERO;
-                for (k, &sel) in amt.bits.iter().enumerate() {
-                    if sel.is_zero() {
-                        continue;
-                    }
-                    let sh = 1usize << k.min(63);
-                    if sh >= w {
-                        big |= sel;
-                        continue;
-                    }
-                    match op {
-                        Op::Shl => {
-                            for i in (sh..w).rev() {
-                                out.bits[i] = (sel & out.bits[i - sh]) | (!sel & out.bits[i]);
-                            }
-                            for i in 0..sh {
-                                out.bits[i] &= !sel;
-                            }
-                        }
-                        Op::Shr | Op::Sar => {
-                            let fill = if op == Op::Sar { sign } else { Block::ZERO };
-                            for i in 0..w - sh {
-                                out.bits[i] = (sel & out.bits[i + sh]) | (!sel & out.bits[i]);
-                            }
-                            for i in w - sh..w {
-                                out.bits[i] = (sel & fill) | (!sel & out.bits[i]);
-                            }
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                if !big.is_zero() {
-                    let fill = if op == Op::Sar { sign } else { Block::ZERO };
-                    for i in 0..w {
-                        out.bits[i] = (big & fill) | (!big & out.bits[i]);
-                    }
-                }
-            }
-            Op::Slice { hi: _, lo } => {
-                let a = v(0);
-                let lo = lo as usize;
-                for i in 0..w {
-                    out.bits[i] = a.bits[lo + i];
-                }
-            }
-            Op::Concat => {
-                let (hi, lo) = (v(0), v(1));
-                let lw = lo.bits.len();
-                out.bits[..lw].copy_from_slice(&lo.bits);
-                out.bits[lw..w].copy_from_slice(&hi.bits);
-            }
-            Op::Zext => {
-                let a = v(0);
-                let aw = a.bits.len();
-                out.bits[..aw].copy_from_slice(&a.bits);
-                out.bits[aw..w].fill(Block::ZERO);
-            }
-            Op::Sext => {
-                let a = v(0);
-                let aw = a.bits.len();
-                out.bits[..aw].copy_from_slice(&a.bits);
-                out.bits[aw..w].fill(a.bits[aw - 1]);
-            }
-            Op::Mux => {
-                let sel = v(0).bits[0];
-                let (t, e) = (v(1), v(2));
-                for i in 0..w {
-                    out.bits[i] = (sel & t.bits[i]) | (!sel & e.bits[i]);
-                }
-            }
-            Op::ReduceOr => {
-                out.bits[0] = v(0).bits.iter().fold(Block::ZERO, |acc, &b| acc | b);
-            }
-            Op::ReduceAnd => {
-                out.bits[0] = v(0).bits.iter().fold(Block::ONES, |acc, &b| acc & b);
-            }
-            Op::ReduceXor => {
-                out.bits[0] = v(0).bits.iter().fold(Block::ZERO, |acc, &b| acc ^ b);
-            }
-        }
-    }
-
-    fn mem_new(words: u32, width: u32) -> LaneMem<W> {
-        LaneMem { width, words, data: vec![0; words as usize * LaneMem::<W>::LANES] }
-    }
-
-    fn mem_reset(mem: &mut LaneMem<W>, init: Option<&[Bv]>) {
-        let lanes = LaneMem::<W>::LANES;
-        match init {
-            Some(init) => {
-                for (w, bv) in init.iter().enumerate() {
-                    mem.data[w * lanes..(w + 1) * lanes].fill(bv.val());
-                }
-            }
-            None => mem.data.fill(0),
-        }
-    }
-
-    fn mem_read(mem: &LaneMem<W>, addr: &LaneValue<W>, width: u32, out: &mut LaneValue<W>) {
-        out.resize(width);
-        let addrs = lanes::unpack_block(&addr.bits);
-        let mut vals = [[0u64; lanes::LANES]; W];
-        for k in 0..W {
-            for (l, &a) in addrs[k].iter().enumerate() {
-                if a < u64::from(mem.words) {
-                    vals[k][l] = mem.data[a as usize * Self::Mem::LANES + k * lanes::LANES + l];
-                }
-            }
-        }
-        let packed = lanes::pack_block(&vals);
-        out.bits.copy_from_slice(&packed[..width as usize]);
-    }
-
-    fn mem_write(mem: &mut LaneMem<W>, en: &LaneValue<W>, addr: &LaneValue<W>, data: &LaneValue<W>) {
-        let sel = en.bits[0];
-        if sel.is_zero() {
-            return;
-        }
-        let addrs = lanes::unpack_block(&addr.bits);
-        let vals = lanes::unpack_block(&data.bits);
-        for k in 0..W {
-            let word = sel.word(k);
-            if word == 0 {
-                continue;
-            }
-            for l in 0..lanes::LANES {
-                if (word >> l) & 1 == 1 {
-                    let a = addrs[k][l];
-                    if a < u64::from(mem.words) {
-                        mem.data[a as usize * Self::Mem::LANES + k * lanes::LANES + l] =
-                            vals[k][l];
-                    }
-                }
-            }
-        }
-    }
+/// A register: its own arena offset, its next-state offset and its width.
+#[derive(Clone, Copy, Debug)]
+struct RegSlot {
+    cur: u32,
+    next: u32,
+    width: u32,
 }
 
 /// A cycle-accurate simulator evaluating `64·W` independent stimuli per
@@ -398,47 +124,198 @@ impl<const W: usize> EvalDomain for BitSliceDomain<W> {
 /// needed (channel sweeps, Monte-Carlo taint trials); use `Sim` for single
 /// runs and interactive debugging — a batch walk costs a few times a scalar
 /// walk, so it only pays off when several lanes carry distinct stimuli.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct BatchSim<'n, const W: usize = 1> {
-    engine: Engine<'n, BitSliceDomain<W>>,
+    netlist: &'n Netlist,
+    /// Arena offset of every signal's first block, by signal index.
+    offsets: Vec<u32>,
+    /// The combinational nodes' steps, in topological order.
+    tape: Vec<Step>,
+    /// Every signal's value: `width` blocks at its offset.
+    arena: Vec<Block<W>>,
+    regs: Vec<RegSlot>,
+    /// Every register's next value, back to back: latched before any
+    /// register changes, since a next-state cone may read other registers.
+    latch: Vec<Block<W>>,
+    mems: Vec<MemSlot>,
+    /// Every memory's blocks.
+    store: Vec<Block<W>>,
+    /// Write ports in declaration order, which makes the later port win.
+    ports: Vec<PortSlot>,
+    cycle: u64,
+    /// Whether an input, register or memory changed since the last walk.
+    dirty: bool,
     trace: BatchTrace<W>,
+}
+
+impl<'n, const W: usize> std::fmt::Debug for BatchSim<'n, W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BatchSim")
+            .field("design", &self.netlist.name())
+            .field("lanes", &Self::LANES)
+            .field("cycle", &self.cycle)
+            .finish()
+    }
 }
 
 impl<'n, const W: usize> BatchSim<'n, W> {
     /// Number of lanes evaluated per pass.
     pub const LANES: usize = lanes::block_lanes::<W>();
 
-    /// Creates a batch simulator for `netlist` and resets it.
+    /// Compiles `netlist` into a batch simulator and resets it.
     ///
     /// # Errors
     ///
     /// Returns the netlist's structural error if it fails [`Netlist::check`].
     pub fn new(netlist: &'n Netlist) -> Result<Self, NetlistError> {
-        Ok(BatchSim { engine: Engine::new(netlist)?, trace: BatchTrace::new() })
+        netlist.check()?;
+        let order = analysis::comb_topo_order(netlist).expect("checked netlist has no comb loops");
+        let mut offsets = vec![0u32; netlist.num_nodes()];
+        let mut tape = Vec::new();
+        let mut len = 0u32;
+        for &id in &order {
+            let node = netlist.node(id);
+            if let Node::Op { op: Op::Slice { lo, .. }, args, .. } = node {
+                offsets[id.index()] = offsets[args[0].index()] + lo;
+                continue;
+            }
+            let (out, width) = (len, node.width());
+            offsets[id.index()] = out;
+            len += width;
+            let (kernel, args, arg_of): (_, &[SignalId], _) = match node {
+                Node::Op { op, args, .. } => {
+                    let odd = match op {
+                        Op::Concat | Op::Shl | Op::Shr | Op::Sar => args[1],
+                        _ => args[0],
+                    };
+                    (Kernel::Op(*op), args, odd)
+                }
+                Node::MemRead { mem, addr, .. } => {
+                    (Kernel::MemRead(mem.index()), std::slice::from_ref(addr), *addr)
+                }
+                Node::Input { .. } | Node::Reg(_) | Node::Const(_) => continue,
+            };
+            let mut arg_offsets = [0; 3];
+            for (slot, a) in arg_offsets.iter_mut().zip(args) {
+                *slot = offsets[a.index()];
+            }
+            let arg_width = netlist.width_of(arg_of);
+            tape.push(Step { kernel, width, out, args: arg_offsets, arg_width });
+        }
+
+        let mut arena = vec![Block::ZERO; len as usize];
+        let mut regs = Vec::new();
+        for (id, node) in netlist.iter_nodes() {
+            let at = offsets[id.index()];
+            match node {
+                Node::Const(bv) => {
+                    lanes::broadcast_block(
+                        &mut arena[at as usize..][..bv.width() as usize],
+                        bv.val(),
+                    );
+                }
+                Node::Reg(info) => {
+                    let next = offsets[info.next.expect("checked netlist").index()];
+                    regs.push(RegSlot { cur: at, next, width: info.width });
+                }
+                _ => {}
+            }
+        }
+        let latch = vec![Block::ZERO; regs.iter().map(|r| r.width as usize).sum()];
+
+        let mut mems = Vec::new();
+        let mut ports = Vec::new();
+        let mut base = 0;
+        for (mid, m) in netlist.iter_mems() {
+            let mem = MemSlot { base, words: m.words, width: m.width };
+            base = mem.blocks().end;
+            mems.push(mem);
+            for wp in &m.write_ports {
+                ports.push(PortSlot {
+                    mem: mid.index(),
+                    en: offsets[wp.en.index()],
+                    addr: offsets[wp.addr.index()],
+                    addr_width: netlist.width_of(wp.addr),
+                    data: offsets[wp.data.index()],
+                });
+            }
+        }
+
+        let mut sim = BatchSim {
+            netlist,
+            offsets,
+            tape,
+            arena,
+            regs,
+            latch,
+            mems,
+            store: vec![Block::ZERO; base],
+            ports,
+            cycle: 0,
+            dirty: true,
+            trace: BatchTrace::new(),
+        };
+        sim.reset();
+        Ok(sim)
     }
 
     /// The underlying netlist.
     pub fn netlist(&self) -> &'n Netlist {
-        self.engine.netlist()
+        self.netlist
     }
 
     /// The current cycle count.
     pub fn cycle(&self) -> u64 {
-        self.engine.cycle()
+        self.cycle
     }
 
     /// Resets all lanes to the declared initial state (see
     /// [`crate::Sim::reset`]). Trace contents are cleared, probes stay.
     pub fn reset(&mut self) {
-        self.engine.reset();
+        for (id, node) in self.netlist.iter_nodes() {
+            let init = match node {
+                Node::Reg(info) => info.init.map_or(0, |bv| bv.val()),
+                Node::Input { .. } => 0,
+                _ => continue,
+            };
+            let slot = self.slot(id);
+            lanes::broadcast_block(&mut self.arena[slot], init);
+        }
+        for (mid, m) in self.netlist.iter_mems() {
+            let blocks = &mut self.store[self.mems[mid.index()].blocks()];
+            match &m.init {
+                Some(init) => {
+                    for (word, bv) in blocks.chunks_exact_mut(m.width as usize).zip(init) {
+                        lanes::broadcast_block(word, bv.val());
+                    }
+                }
+                None => blocks.fill(Block::ZERO),
+            }
+        }
+        self.cycle = 0;
+        self.dirty = true;
         self.trace.clear();
     }
 
+    /// The arena blocks of signal `id`.
+    fn slot(&self, id: SignalId) -> std::ops::Range<usize> {
+        let at = self.offsets[id.index()] as usize;
+        at..at + self.netlist.width_of(id) as usize
+    }
+
+    /// The store blocks of word `index` of `mem`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word index is out of range.
+    fn mem_word(&self, mem: MemId, index: u32) -> std::ops::Range<usize> {
+        self.mems[mem.index()].word(u64::from(index)).unwrap_or_else(|| {
+            panic!("word index {index} out of range for `{}`", self.netlist.mem(mem).name)
+        })
+    }
+
     fn find(&self, name: &str) -> Wire {
-        self.engine
-            .netlist()
-            .find(name)
-            .unwrap_or_else(|| panic!("no signal named `{name}`"))
+        self.netlist.find(name).unwrap_or_else(|| panic!("no signal named `{name}`"))
     }
 
     fn assert_fits(wire: Wire, value: u64, what: &str, name: &str) {
@@ -447,6 +324,39 @@ impl<'n, const W: usize> BatchSim<'n, W> {
             "value {value:#x} does not fit the {}-bit width of {what} `{name}`",
             wire.width()
         );
+    }
+
+    fn assert_input(&self, wire: Wire) {
+        assert!(
+            matches!(self.netlist.node(wire.id()), Node::Input { .. }),
+            "set_input on non-input signal"
+        );
+    }
+
+    fn assert_reg(&self, wire: Wire) {
+        assert!(
+            matches!(self.netlist.node(wire.id()), Node::Reg(_)),
+            "set_reg on non-register signal"
+        );
+    }
+
+    /// Broadcasts `value` into the blocks of `id` in every lane.
+    fn broadcast(&mut self, id: SignalId, value: u64) {
+        let slot = self.slot(id);
+        lanes::broadcast_block(&mut self.arena[slot], value);
+        self.dirty = true;
+    }
+
+    /// Packs one value per lane into the blocks of `id`, keeping the low
+    /// `width` bits of each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice is not exactly one value per lane.
+    fn pack(&mut self, id: SignalId, values: &[u64]) {
+        let slot = self.slot(id);
+        pack_into(&mut self.arena[slot], values);
+        self.dirty = true;
     }
 
     /// Drives a primary input by name, broadcasting `value` to all lanes.
@@ -458,9 +368,20 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     pub fn set_input(&mut self, name: &str, value: u64) {
         let w = self.find(name);
         Self::assert_fits(w, value, "input", name);
-        let mut v = BitSliceDomain::<W>::value_zero(w.width());
-        lanes::broadcast_block(&mut v.bits, value);
-        self.set_input_wire_value(w, v);
+        self.assert_input(w);
+        self.broadcast(w.id(), value);
+    }
+
+    /// Drives a primary input by wire handle, broadcasting `value` to all
+    /// lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wire is not an input or widths mismatch.
+    pub fn set_input_wire(&mut self, wire: Wire, value: Bv) {
+        self.assert_input(wire);
+        assert_eq!(wire.width(), value.width(), "input width mismatch");
+        self.broadcast(wire.id(), value.val());
     }
 
     /// Drives a primary input by name with one value per lane
@@ -485,15 +406,21 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     /// Panics if the wire is not an input, the slice is not exactly one
     /// value per lane, or any lane's value does not fit its width.
     pub fn set_input_wire_lanes(&mut self, wire: Wire, values: &[u64]) {
-        self.set_input_wire_value(wire, pack_value(wire.width(), values));
+        assert_lanes_fit::<W>(wire.width(), values);
+        self.set_input_wire_lanes_truncated(wire, values);
     }
 
-    fn set_input_wire_value(&mut self, wire: Wire, v: LaneValue<W>) {
-        assert!(
-            matches!(self.engine.netlist().node(wire.id()), Node::Input { .. }),
-            "set_input on non-input signal"
-        );
-        self.engine.set_value(wire.id(), v);
+    /// Drives a primary input by wire handle with one value per lane,
+    /// keeping the low `wire.width()` bits of each value: for masks whose
+    /// high bits mean nothing, such as taint masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wire is not an input or the slice is not exactly one
+    /// value per lane.
+    pub fn set_input_wire_lanes_truncated(&mut self, wire: Wire, values: &[u64]) {
+        self.assert_input(wire);
+        self.pack(wire.id(), values);
     }
 
     /// Overwrites a register's current state in every lane.
@@ -503,9 +430,8 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     /// Panics if the wire is not a register output or widths mismatch.
     pub fn set_reg(&mut self, wire: Wire, value: Bv) {
         assert_eq!(wire.width(), value.width(), "register width mismatch");
-        let mut v = BitSliceDomain::<W>::value_zero(wire.width());
-        lanes::broadcast_block(&mut v.bits, value.val());
-        self.set_reg_value(wire, v);
+        self.assert_reg(wire);
+        self.broadcast(wire.id(), value.val());
     }
 
     /// Overwrites a register's current state with one value per lane.
@@ -516,15 +442,9 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     /// exactly one value per lane, or any lane's value does not fit the
     /// register width.
     pub fn set_reg_lanes(&mut self, wire: Wire, values: &[u64]) {
-        self.set_reg_value(wire, pack_value(wire.width(), values));
-    }
-
-    fn set_reg_value(&mut self, wire: Wire, v: LaneValue<W>) {
-        assert!(
-            matches!(self.engine.netlist().node(wire.id()), Node::Reg(_)),
-            "set_reg on non-register signal"
-        );
-        self.engine.set_value(wire.id(), v);
+        assert_lanes_fit::<W>(wire.width(), values);
+        self.assert_reg(wire);
+        self.pack(wire.id(), values);
     }
 
     /// Overwrites one memory word in every lane.
@@ -533,13 +453,10 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     ///
     /// Panics if the word index is out of range or widths mismatch.
     pub fn set_mem_word(&mut self, mem: MemId, index: u32, value: Bv) {
-        let m = self.engine.netlist().mem(mem);
-        assert!(index < m.words, "word index {index} out of range for `{}`", m.name);
-        assert_eq!(value.width(), m.width, "memory word width mismatch");
-        let st = self.engine.mem_mut(mem);
-        for l in 0..Self::LANES {
-            st.set_word(index, l, value);
-        }
+        let word = self.mem_word(mem, index);
+        assert_eq!(value.width(), self.netlist.mem(mem).width, "memory word width mismatch");
+        lanes::broadcast_block(&mut self.store[word], value.val());
+        self.dirty = true;
     }
 
     /// Overwrites one memory word with one value per lane.
@@ -550,18 +467,19 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     /// one value per lane, or any lane's value does not fit the word width.
     pub fn set_mem_word_lanes(&mut self, mem: MemId, index: u32, values: &[u64]) {
         assert_eq!(values.len(), Self::LANES, "one value per lane required");
-        let m = self.engine.netlist().mem(mem);
-        assert!(index < m.words, "word index {index} out of range for `{}`", m.name);
-        let (name, width) = (m.name.clone(), m.width);
-        let mask = Bv::mask_for(width);
-        let st = self.engine.mem_mut(mem);
+        let word = self.mem_word(mem, index);
+        let m = self.netlist.mem(mem);
+        let mask = Bv::mask_for(m.width);
         for (l, &v) in values.iter().enumerate() {
             assert!(
                 v & !mask == 0,
-                "lane {l} value {v:#x} does not fit the {width}-bit words of `{name}`"
+                "lane {l} value {v:#x} does not fit the {}-bit words of `{}`",
+                m.width,
+                m.name
             );
-            st.set_word(index, l, Bv::new(width, v));
         }
+        pack_into(&mut self.store[word], values);
+        self.dirty = true;
     }
 
     /// Overwrites one memory word in a single lane, leaving other lanes
@@ -571,11 +489,11 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     ///
     /// Panics if the word index or lane is out of range or widths mismatch.
     pub fn set_mem_word_lane(&mut self, mem: MemId, index: u32, lane: usize, value: Bv) {
-        let m = self.engine.netlist().mem(mem);
-        assert!(index < m.words, "word index {index} out of range for `{}`", m.name);
+        let word = self.mem_word(mem, index);
         assert!(lane < Self::LANES, "lane {lane} out of range");
-        assert_eq!(value.width(), m.width, "memory word width mismatch");
-        self.engine.mem_mut(mem).set_word(index, lane, value);
+        assert_eq!(value.width(), self.netlist.mem(mem).width, "memory word width mismatch");
+        lanes::set_lane_of(&mut self.store[word], lane, value.val());
+        self.dirty = true;
     }
 
     /// Reads one memory word from one lane.
@@ -584,24 +502,30 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     ///
     /// Panics if the word index or lane is out of range.
     pub fn read_mem_lane(&self, mem: MemId, index: u32, lane: usize) -> Bv {
-        let m = self.engine.netlist().mem(mem);
-        assert!(index < m.words, "word index {index} out of range for `{}`", m.name);
+        let word = self.mem_word(mem, index);
         assert!(lane < Self::LANES, "lane {lane} out of range");
-        self.engine.mem(mem).word(index, lane)
+        Bv::new(self.netlist.mem(mem).width, lanes::lane_of(&self.store[word], lane))
+    }
+
+    /// The mask of lanes in which any word of `mem` is non-zero.
+    pub fn mem_nonzero_lanes(&self, mem: MemId) -> Block<W> {
+        self.store[self.mems[mem.index()].blocks()].iter().fold(Block::ZERO, |acc, &b| acc | b)
     }
 
     /// The current value of a signal in one lane (evaluating first if
     /// needed).
     pub fn peek_lane(&mut self, wire: Wire, lane: usize) -> Bv {
         assert!(lane < Self::LANES, "lane {lane} out of range");
-        self.engine.eval();
-        self.engine.value(wire.id()).lane(lane)
+        self.eval();
+        let slot = self.slot(wire.id());
+        Bv::new(wire.width(), lanes::lane_of(&self.arena[slot], lane))
     }
 
     /// The current value of a signal in all lanes (lane-indexed).
     pub fn peek_lanes(&mut self, wire: Wire) -> Vec<u64> {
-        self.engine.eval();
-        self.engine.value(wire.id()).unpack()
+        self.eval();
+        let rows = lanes::unpack_block(&self.arena[self.slot(wire.id())]);
+        rows.concat()
     }
 
     /// [`BatchSim::peek_lanes`] by hierarchical name.
@@ -614,6 +538,12 @@ impl<'n, const W: usize> BatchSim<'n, W> {
         self.peek_lanes(w)
     }
 
+    /// The mask of lanes in which a signal is currently non-zero.
+    pub fn nonzero_lanes(&mut self, wire: Wire) -> Block<W> {
+        self.eval();
+        self.arena[self.slot(wire.id())].iter().fold(Block::ZERO, |acc, &b| acc | b)
+    }
+
     /// For a 1-bit signal: the mask of lanes in which it is currently 1.
     ///
     /// # Panics
@@ -621,15 +551,65 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     /// Panics if the signal is wider than one bit.
     pub fn lanes_high(&mut self, wire: Wire) -> Block<W> {
         assert_eq!(wire.width(), 1, "lanes_high expects a 1-bit signal");
-        self.engine.eval();
-        self.engine.value(wire.id()).bits()[0]
+        self.nonzero_lanes(wire)
+    }
+
+    /// Recomputes every combinational value if an input or the state
+    /// changed: one run down the tape.
+    fn eval(&mut self) {
+        if !self.dirty {
+            return;
+        }
+        for step in &self.tape {
+            run_step(step, &mut self.arena, &self.store, &self.mems);
+        }
+        self.dirty = false;
+    }
+
+    /// Latches every register and applies the memory write ports in
+    /// declaration order, then advances the cycle counter.
+    fn commit(&mut self) {
+        self.eval();
+        let mut at = 0;
+        for r in &self.regs {
+            let w = r.width as usize;
+            self.latch[at..at + w].copy_from_slice(&self.arena[r.next as usize..][..w]);
+            at += w;
+        }
+        // Write ports read combinational values only, so they apply
+        // directly.
+        for p in &self.ports {
+            let en = self.arena[p.en as usize];
+            if en.is_zero() {
+                continue;
+            }
+            let mem = self.mems[p.mem];
+            let addr = &self.arena[p.addr as usize..][..p.addr_width as usize];
+            let data = &self.arena[p.data as usize..][..mem.width as usize];
+            let store = &mut self.store;
+            for_each_address(addr, en, |a, group| {
+                if let Some(word) = mem.word(a) {
+                    for (m, &d) in store[word].iter_mut().zip(data) {
+                        *m = (*m & !group) | (d & group);
+                    }
+                }
+            });
+        }
+        let mut at = 0;
+        for r in &self.regs {
+            let w = r.width as usize;
+            self.arena[r.cur as usize..][..w].copy_from_slice(&self.latch[at..at + w]);
+            at += w;
+        }
+        self.cycle += 1;
+        self.dirty = true;
     }
 
     /// Advances all lanes by one clock edge.
     pub fn step(&mut self) {
-        self.engine.eval();
+        self.eval();
         self.record_probes();
-        self.engine.commit();
+        self.commit();
     }
 
     /// Runs `n` clock cycles.
@@ -669,11 +649,9 @@ impl<'n, const W: usize> BatchSim<'n, W> {
         if self.trace.is_empty() {
             return;
         }
-        let cycle = self.engine.cycle();
-        let probes: Vec<Wire> = self.trace.probe_wires().collect();
         let vals: Vec<Vec<Block<W>>> =
-            probes.iter().map(|w| self.engine.value(w.id()).bits().to_vec()).collect();
-        self.trace.record(cycle, vals);
+            self.trace.probe_wires().map(|w| self.arena[self.slot(w.id())].to_vec()).collect();
+        self.trace.record(self.cycle, vals);
     }
 
     /// The recorded per-lane trace of watched signals.
@@ -682,20 +660,225 @@ impl<'n, const W: usize> BatchSim<'n, W> {
     }
 }
 
-/// Packs per-lane scalars into a [`LaneValue`], refusing over-wide values
-/// (the wire-level backstop of the named `set_input` assertions — a wider
-/// scalar is a stimulus bug, not something to truncate silently) and
-/// wrong-size slices (one value per lane, exactly).
-fn pack_value<const W: usize>(width: u32, values: &[u64]) -> LaneValue<W> {
+/// Refuses a slice that is not one value per lane, or a lane value wider
+/// than `width` (a wider scalar is a stimulus bug, not something to
+/// truncate silently).
+fn assert_lanes_fit<const W: usize>(width: u32, values: &[u64]) {
     assert_eq!(values.len(), lanes::block_lanes::<W>(), "one value per lane required");
     let mask = Bv::mask_for(width);
-    let mut rows = [[0u64; lanes::LANES]; W];
     for (l, &v) in values.iter().enumerate() {
         assert!(v & !mask == 0, "lane {l} value {v:#x} does not fit {width} bits");
-        rows[l / lanes::LANES][l % lanes::LANES] = v;
+    }
+}
+
+/// Packs one value per lane into `bits`, keeping the low `bits.len()` bits
+/// of each value.
+///
+/// # Panics
+///
+/// Panics if the slice is not exactly one value per lane.
+fn pack_into<const W: usize>(bits: &mut [Block<W>], values: &[u64]) {
+    assert_eq!(values.len(), lanes::block_lanes::<W>(), "one value per lane required");
+    let mut rows = [[0u64; lanes::LANES]; W];
+    for (row, chunk) in rows.iter_mut().zip(values.chunks_exact(lanes::LANES)) {
+        row.copy_from_slice(chunk);
     }
     let packed = lanes::pack_block(&rows);
-    LaneValue { width, bits: packed[..width as usize].to_vec() }
+    bits.copy_from_slice(&packed[..bits.len()]);
+}
+
+/// The lowest lane set in `mask`.
+fn first_lane<const W: usize>(mask: Block<W>) -> Option<usize> {
+    let k = mask.0.iter().position(|&w| w != 0)?;
+    Some(k * lanes::LANES + mask.0[k].trailing_zeros() as usize)
+}
+
+/// Groups the lanes of `active` by the address they hold in `addr`: calls
+/// `f(address, group)` once per distinct address, `group` being the lanes
+/// of `active` that hold it. Allocates nothing, so it runs inside a step.
+fn for_each_address<const W: usize>(
+    addr: &[Block<W>],
+    active: Block<W>,
+    mut f: impl FnMut(u64, Block<W>),
+) {
+    let mut todo = active;
+    while let Some(l) = first_lane(todo) {
+        let a = lanes::lane_of(addr, l);
+        let mut group = todo;
+        for (i, &b) in addr.iter().enumerate() {
+            group &= if a >> i & 1 == 1 { b } else { !b };
+        }
+        todo &= !group;
+        f(a, group);
+    }
+}
+
+/// Runs one tape step: reads its arguments below `step.out` and writes its
+/// `step.width` result blocks.
+fn run_step<const W: usize>(
+    step: &Step,
+    arena: &mut [Block<W>],
+    store: &[Block<W>],
+    mems: &[MemSlot],
+) {
+    let (src, rest) = arena.split_at_mut(step.out as usize);
+    let w = step.width as usize;
+    let aw = step.arg_width as usize;
+    let out = &mut rest[..w];
+    let arg = |i: usize, len: usize| &src[step.args[i] as usize..][..len];
+    let op = match step.kernel {
+        Kernel::Op(op) => op,
+        Kernel::MemRead(m) => {
+            let mem = mems[m];
+            out.fill(Block::ZERO);
+            let bits = w.min(mem.width as usize);
+            for_each_address(arg(0, aw), Block::ONES, |a, group| {
+                if let Some(word) = mem.word(a) {
+                    for (o, &m) in out[..bits].iter_mut().zip(&store[word]) {
+                        *o |= m & group;
+                    }
+                }
+            });
+            return;
+        }
+    };
+    match op {
+        Op::Not => {
+            for (o, &a) in out.iter_mut().zip(arg(0, w)) {
+                *o = !a;
+            }
+        }
+        Op::And | Op::Or | Op::Xor => {
+            for ((o, &a), &b) in out.iter_mut().zip(arg(0, w)).zip(arg(1, w)) {
+                *o = match op {
+                    Op::And => a & b,
+                    Op::Or => a | b,
+                    _ => a ^ b,
+                };
+            }
+        }
+        Op::Add => {
+            let mut carry = Block::ZERO;
+            for ((o, &x), &y) in out.iter_mut().zip(arg(0, w)).zip(arg(1, w)) {
+                let xy = x ^ y;
+                *o = xy ^ carry;
+                carry = (x & y) | (carry & xy);
+            }
+        }
+        Op::Sub => {
+            let mut borrow = Block::ZERO;
+            for ((o, &x), &y) in out.iter_mut().zip(arg(0, w)).zip(arg(1, w)) {
+                *o = x ^ y ^ borrow;
+                borrow = (!x & y) | ((!x | y) & borrow);
+            }
+        }
+        Op::Mul => {
+            let (a, b) = (arg(0, w), arg(1, w));
+            out.fill(Block::ZERO);
+            for (j, &sel) in b.iter().enumerate() {
+                if sel.is_zero() {
+                    continue;
+                }
+                let mut carry = Block::ZERO;
+                for i in j..w {
+                    let p = a[i - j] & sel;
+                    let o = out[i];
+                    let s = o ^ p;
+                    out[i] = s ^ carry;
+                    carry = (o & p) | (carry & s);
+                }
+            }
+        }
+        Op::Eq => {
+            out[0] =
+                arg(0, aw).iter().zip(arg(1, aw)).fold(Block::ONES, |acc, (&a, &b)| acc & !(a ^ b));
+        }
+        Op::Ult | Op::Slt => {
+            let mut borrow = Block::ZERO;
+            for (i, (&a, &b)) in arg(0, aw).iter().zip(arg(1, aw)).enumerate() {
+                // Signed comparison = unsigned with both sign bits flipped.
+                let flip = Block::splat(op == Op::Slt && i == aw - 1);
+                let (x, y) = (a ^ flip, b ^ flip);
+                borrow = (!x & y) | ((!x | y) & borrow);
+            }
+            out[0] = borrow;
+        }
+        Op::ShlC(s) => {
+            let (a, s) = (arg(0, w), s as usize);
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = if i >= s { a[i - s] } else { Block::ZERO };
+            }
+        }
+        Op::ShrC(s) => {
+            let (a, s) = (arg(0, w), s as usize);
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = if i + s < w { a[i + s] } else { Block::ZERO };
+            }
+        }
+        Op::SarC(s) => {
+            let (a, s) = (arg(0, w), (s as usize).min(w - 1));
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = a[(i + s).min(w - 1)];
+            }
+        }
+        Op::Shl | Op::Shr | Op::Sar => {
+            let a = arg(0, w);
+            out.copy_from_slice(a);
+            let fill = if op == Op::Sar { a[w - 1] } else { Block::ZERO };
+            // Lanes whose amount reaches the width shift everything out.
+            let mut big = Block::ZERO;
+            for (k, &sel) in arg(1, aw).iter().enumerate() {
+                if sel.is_zero() {
+                    continue;
+                }
+                let sh = 1usize << k.min(63);
+                if sh >= w {
+                    big |= sel;
+                    continue;
+                }
+                if op == Op::Shl {
+                    for i in (sh..w).rev() {
+                        out[i] = (sel & out[i - sh]) | (!sel & out[i]);
+                    }
+                    for o in &mut out[..sh] {
+                        *o &= !sel;
+                    }
+                } else {
+                    for i in 0..w - sh {
+                        out[i] = (sel & out[i + sh]) | (!sel & out[i]);
+                    }
+                    for o in &mut out[w - sh..] {
+                        *o = (sel & fill) | (!sel & *o);
+                    }
+                }
+            }
+            if !big.is_zero() {
+                for o in out.iter_mut() {
+                    *o = (big & fill) | (!big & *o);
+                }
+            }
+        }
+        Op::Slice { .. } => unreachable!("a slice is a view, not a tape step"),
+        Op::Concat => {
+            out[..aw].copy_from_slice(arg(1, aw));
+            out[aw..].copy_from_slice(arg(0, w - aw));
+        }
+        Op::Zext | Op::Sext => {
+            let a = arg(0, aw);
+            out[..aw].copy_from_slice(a);
+            let fill = if op == Op::Sext { a[aw - 1] } else { Block::ZERO };
+            out[aw..].fill(fill);
+        }
+        Op::Mux => {
+            let sel = src[step.args[0] as usize];
+            for ((o, &t), &e) in out.iter_mut().zip(arg(1, w)).zip(arg(2, w)) {
+                *o = (sel & t) | (!sel & e);
+            }
+        }
+        Op::ReduceOr => out[0] = arg(0, aw).iter().fold(Block::ZERO, |acc, &b| acc | b),
+        Op::ReduceAnd => out[0] = arg(0, aw).iter().fold(Block::ONES, |acc, &b| acc & b),
+        Op::ReduceXor => out[0] = arg(0, aw).iter().fold(Block::ZERO, |acc, &b| acc ^ b),
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-//! The generic evaluate/commit simulation core.
+//! The scalar evaluate/commit core behind [`crate::Sim`].
 //!
-//! [`Engine`] owns the two-phase interpreter loop that both simulator
-//! front-ends share:
+//! [`Engine`] owns the two-phase interpreter loop over one [`Bv`] per
+//! signal:
 //!
 //! 1. **Evaluate** ([`Engine::eval`]): combinational nodes are computed in
 //!    topological order from the current register/memory/input state,
@@ -9,56 +9,43 @@
 //!    values and memory write ports apply in declaration order (later
 //!    ports override earlier ones within a cycle).
 //!
-//! What a *value* is — and therefore how many stimuli one walk evaluates —
-//! is delegated to the [`EvalDomain`] parameter; see
-//! [`crate::domain`] for the scalar reference domain and
-//! [`crate::batch`] for the 64-lane bit-sliced domain.
+//! Its operator semantics ([`eval_op`]) are the reference every lane of
+//! [`crate::BatchSim`] is compared against.
 
-use ssc_netlist::{analysis, MemId, Netlist, NetlistError, Node, SignalId};
+use ssc_netlist::{analysis, Bv, MemId, Netlist, NetlistError, Node, Op, SignalId};
 
-use crate::domain::EvalDomain;
-
-/// The domain-generic evaluate/commit core shared by [`crate::Sim`] and
-/// [`crate::BatchSim`].
+/// The scalar evaluate/commit core of [`crate::Sim`].
 #[derive(Clone)]
-pub struct Engine<'n, D: EvalDomain> {
+pub(crate) struct Engine<'n> {
     netlist: &'n Netlist,
     order: Vec<SignalId>,
-    values: Vec<D::Value>,
-    mems: Vec<D::Mem>,
+    values: Vec<Bv>,
+    /// One `Bv` per word of every memory.
+    mems: Vec<Vec<Bv>>,
     /// `(register, next-state signal)` pairs in declaration order.
     regs: Vec<(SignalId, SignalId)>,
-    /// Double-buffered register scratch table: `reg_next[i]` latches the
-    /// next value of `regs[i]` during [`Engine::commit`] and is swapped
-    /// into the value table, so the displaced old value becomes the next
-    /// cycle's scratch buffer — no per-cycle allocation in either domain.
-    reg_next: Vec<D::Value>,
+    /// Register scratch table: `reg_next[i]` latches the next value of
+    /// `regs[i]` before any register changes (a next-state cone may read
+    /// other registers), without a per-cycle allocation.
+    reg_next: Vec<Bv>,
     cycle: u64,
     dirty: bool,
 }
 
-impl<'n, D: EvalDomain> std::fmt::Debug for Engine<'n, D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("design", &self.netlist.name())
-            .field("cycle", &self.cycle)
-            .finish()
-    }
-}
-
-impl<'n, D: EvalDomain> Engine<'n, D> {
+impl<'n> Engine<'n> {
     /// Creates an engine for `netlist` with all state at its reset values.
     ///
     /// # Errors
     ///
     /// Returns the netlist's structural error if it fails [`Netlist::check`].
-    pub fn new(netlist: &'n Netlist) -> Result<Self, NetlistError> {
+    pub(crate) fn new(netlist: &'n Netlist) -> Result<Self, NetlistError> {
         netlist.check()?;
         let order = analysis::comb_topo_order(netlist).expect("checked netlist has no comb loops");
         let values = (0..netlist.num_nodes())
-            .map(|i| D::value_zero(netlist.width_of(SignalId::from_index(i))))
+            .map(|i| Bv::zero(netlist.width_of(SignalId::from_index(i))))
             .collect();
-        let mems = netlist.iter_mems().map(|(_, m)| D::mem_new(m.words, m.width)).collect();
+        let mems =
+            netlist.iter_mems().map(|(_, m)| vec![Bv::zero(m.width); m.words as usize]).collect();
         let regs: Vec<(SignalId, SignalId)> = netlist
             .iter_nodes()
             .filter_map(|(id, node)| match node {
@@ -66,8 +53,7 @@ impl<'n, D: EvalDomain> Engine<'n, D> {
                 _ => None,
             })
             .collect();
-        let reg_next =
-            regs.iter().map(|&(id, _)| D::value_zero(netlist.width_of(id))).collect();
+        let reg_next = regs.iter().map(|&(id, _)| Bv::zero(netlist.width_of(id))).collect();
         let mut eng =
             Engine { netlist, order, values, mems, regs, reg_next, cycle: 0, dirty: true };
         eng.reset();
@@ -75,41 +61,42 @@ impl<'n, D: EvalDomain> Engine<'n, D> {
     }
 
     /// The underlying netlist.
-    pub fn netlist(&self) -> &'n Netlist {
+    pub(crate) fn netlist(&self) -> &'n Netlist {
         self.netlist
     }
 
     /// The current cycle count (number of commits since reset).
-    pub fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 
     /// Resets registers and memories to their declared initial values (zero
     /// when unspecified), clears inputs to zero and restarts the cycle
     /// counter.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for (id, node) in self.netlist.iter_nodes() {
             match node {
                 Node::Reg(info) => {
-                    self.values[id.index()] = match info.init {
-                        Some(bv) => D::value_const(bv),
-                        None => D::value_zero(info.width),
-                    };
+                    self.values[id.index()] = info.init.unwrap_or(Bv::zero(info.width));
                 }
                 Node::Input { width, .. } => {
-                    self.values[id.index()] = D::value_zero(*width);
+                    self.values[id.index()] = Bv::zero(*width);
                 }
                 // Constants are fixed for the engine's lifetime; seating
                 // them here keeps the per-cycle eval loop from rebuilding
-                // (and, in wide domains, reallocating) them every walk.
+                // them every walk.
                 Node::Const(bv) => {
-                    self.values[id.index()] = D::value_const(*bv);
+                    self.values[id.index()] = *bv;
                 }
                 _ => {}
             }
         }
         for (mid, m) in self.netlist.iter_mems() {
-            D::mem_reset(&mut self.mems[mid.index()], m.init.as_deref());
+            let mem = &mut self.mems[mid.index()];
+            match &m.init {
+                Some(init) => mem.copy_from_slice(init),
+                None => mem.fill(Bv::zero(m.width)),
+            }
         }
         self.cycle = 0;
         self.dirty = true;
@@ -117,92 +104,118 @@ impl<'n, D: EvalDomain> Engine<'n, D> {
 
     /// The current value of a signal. The caller is responsible for
     /// evaluating first ([`Engine::eval`]) if inputs or state changed.
-    pub fn value(&self, id: SignalId) -> &D::Value {
-        &self.values[id.index()]
+    pub(crate) fn value(&self, id: SignalId) -> Bv {
+        self.values[id.index()]
     }
 
     /// Overwrites a signal's value slot (input driving / state poking) and
     /// marks the combinational values stale.
-    pub fn set_value(&mut self, id: SignalId, v: D::Value) {
+    pub(crate) fn set_value(&mut self, id: SignalId, v: Bv) {
         self.values[id.index()] = v;
         self.dirty = true;
     }
 
-    /// Read access to a memory's backing store.
-    pub fn mem(&self, mem: MemId) -> &D::Mem {
+    /// Read access to a memory's words.
+    pub(crate) fn mem(&self, mem: MemId) -> &[Bv] {
         &self.mems[mem.index()]
     }
 
-    /// Mutable access to a memory's backing store (state poking); marks the
+    /// Mutable access to a memory's words (state poking); marks the
     /// combinational values stale.
-    pub fn mem_mut(&mut self, mem: MemId) -> &mut D::Mem {
+    pub(crate) fn mem_mut(&mut self, mem: MemId) -> &mut [Bv] {
         self.dirty = true;
         &mut self.mems[mem.index()]
     }
 
     /// Recomputes combinational values if inputs or state changed.
-    pub fn eval(&mut self) {
+    pub(crate) fn eval(&mut self) {
         if !self.dirty {
             return;
         }
-        for idx in 0..self.order.len() {
-            let id = self.order[idx];
-            match self.netlist.node(id) {
+        for &id in &self.order {
+            self.values[id.index()] = match self.netlist.node(id) {
                 // Inputs/registers hold state in `values`; constants were
                 // seated by `reset` and never change.
                 Node::Input { .. } | Node::Reg(_) | Node::Const(_) => continue,
-                Node::Op { op, args, width } => {
-                    // Take the slot out so the argument slots can be read
-                    // while it is written (a node never reads its own
-                    // output — the order is topological).
-                    let mut out = std::mem::replace(&mut self.values[id.index()], D::value_dummy());
-                    D::eval_op(*op, *width, &self.values, args, &mut out);
-                    self.values[id.index()] = out;
-                }
+                Node::Op { op, args, width } => eval_op(*op, *width, &self.values, args),
                 Node::MemRead { mem, addr, width } => {
-                    let mut out = std::mem::replace(&mut self.values[id.index()], D::value_dummy());
-                    D::mem_read(
-                        &self.mems[mem.index()],
-                        &self.values[addr.index()],
-                        *width,
-                        &mut out,
-                    );
-                    self.values[id.index()] = out;
+                    let a = self.values[addr.index()].val() as usize;
+                    let mem = &self.mems[mem.index()];
+                    if a < mem.len() {
+                        mem[a]
+                    } else {
+                        Bv::zero(*width)
+                    }
                 }
-            }
+            };
         }
         self.dirty = false;
     }
 
     /// Latches registers and applies memory write ports (evaluating first
     /// if necessary), then advances the cycle counter.
-    pub fn commit(&mut self) {
+    pub(crate) fn commit(&mut self) {
         self.eval();
-        // Latch every register's next value into the persistent scratch
-        // table before overwriting any register (a next-state cone may read
-        // other registers). `value_assign` reuses the scratch buffers, so
-        // this is allocation-free once the buffers reached their widths.
-        for (i, &(_, next)) in self.regs.iter().enumerate() {
-            D::value_assign(&mut self.reg_next[i], &self.values[next.index()]);
+        // Latch every register's next value before overwriting any
+        // register (a next-state cone may read other registers).
+        for (slot, &(_, next)) in self.reg_next.iter_mut().zip(&self.regs) {
+            *slot = self.values[next.index()];
         }
         // Write ports read combinational values only, so they can apply
         // directly; declaration order realizes later-port-wins.
         for (mid, m) in self.netlist.iter_mems() {
             for wp in &m.write_ports {
-                D::mem_write(
-                    &mut self.mems[mid.index()],
-                    &self.values[wp.en.index()],
-                    &self.values[wp.addr.index()],
-                    &self.values[wp.data.index()],
-                );
+                if self.values[wp.en.index()].is_true() {
+                    let a = self.values[wp.addr.index()].val() as usize;
+                    let mem = &mut self.mems[mid.index()];
+                    if a < mem.len() {
+                        mem[a] = self.values[wp.data.index()];
+                    }
+                }
             }
         }
-        // Swap the latched values in; the displaced old register values
-        // become the next cycle's scratch buffers (double buffering).
-        for (i, &(id, _)) in self.regs.iter().enumerate() {
-            std::mem::swap(&mut self.values[id.index()], &mut self.reg_next[i]);
+        for (&(id, _), &v) in self.regs.iter().zip(&self.reg_next) {
+            self.values[id.index()] = v;
         }
         self.cycle += 1;
         self.dirty = true;
+    }
+}
+
+/// The scalar semantics of `op` over `args` (indices into `values`), with
+/// the declared result `width`.
+fn eval_op(op: Op, width: u32, values: &[Bv], args: &[SignalId]) -> Bv {
+    let v = |i: usize| values[args[i].index()];
+    match op {
+        Op::Not => v(0).not(),
+        Op::And => v(0).and(v(1)),
+        Op::Or => v(0).or(v(1)),
+        Op::Xor => v(0).xor(v(1)),
+        Op::Add => v(0).add(v(1)),
+        Op::Sub => v(0).sub(v(1)),
+        Op::Mul => v(0).mul(v(1)),
+        Op::Eq => v(0).eq_bit(v(1)),
+        Op::Ult => v(0).ult(v(1)),
+        Op::Slt => v(0).slt(v(1)),
+        Op::ShlC(a) => v(0).shl(a),
+        Op::ShrC(a) => v(0).shr(a),
+        Op::SarC(a) => v(0).sar(a),
+        Op::Shl => v(0).shl_dyn(v(1)),
+        Op::Shr => v(0).shr_dyn(v(1)),
+        Op::Sar => v(0).sar_dyn(v(1)),
+        Op::Slice { hi, lo } => v(0).slice(hi, lo),
+        Op::Concat => v(0).concat(v(1)),
+        Op::Zext => v(0).zext(width),
+        Op::Sext => v(0).sext(width),
+        Op::Mux => {
+            if v(0).is_true() {
+                v(1)
+            } else {
+                v(2)
+            }
+        }
+        Op::ReduceOr => v(0).reduce_or(),
+        Op::ReduceAnd => v(0).reduce_and(),
+        Op::ReduceXor => v(0).reduce_xor(),
     }
 }

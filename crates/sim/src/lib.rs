@@ -13,27 +13,22 @@
 //! a symbolic state — can be replayed concretely, and signal *probing* with
 //! a trace recorder and VCD export.
 //!
-//! # Architecture: one engine, pluggable value domains
+//! # Architecture: a scalar reference and a compiled lane simulator
 //!
-//! The interpreter loop lives in the domain-generic [`Engine`]; *what a
-//! value is* is decided by the [`domain::EvalDomain`] it is instantiated
-//! with. Two domain families ship with the crate:
+//! Two simulators share the netlist semantics:
 //!
-//! - the **scalar** domain ([`domain::ScalarDomain`], value = [`Bv`]) backs
-//!   [`Sim`] — one stimulus per walk, the reference semantics;
-//! - the **width-generic bit-sliced** domain
-//!   ([`batch::BitSliceDomain<W>`](batch::BitSliceDomain)) backs
-//!   [`BatchSim<W>`](BatchSim) — a `w`-bit signal becomes `w`
+//! - [`Sim`] interprets the netlist node by node over one [`Bv`] per
+//!   signal — one stimulus per walk. Its operator semantics are the
+//!   reference every lane test compares against.
+//! - [`BatchSim<W>`](BatchSim) runs `64·W` *independent* stimuli per walk.
+//!   A `w`-bit signal becomes `w`
 //!   [`ssc_netlist::lanes::Block<W>`](ssc_netlist::lanes::Block)s (each
-//!   `W` `u64` words) where block `i` carries bit `i` of `64·W`
-//!   *independent* stimuli (the [`ssc_netlist::lanes`] layout), so one
-//!   netlist walk advances `64·W` trials. `W = 1` (the default) is the
-//!   classic 64-lane engine; `W = 4` ([`batch::WIDE_WORDS`]) is the
-//!   256-lane wide engine whose word-wise kernels autovectorize to
-//!   AVX2/SVE registers. Memories stay per-lane scalar
-//!   (`data[word * 64·W + lane]`) because reads/writes are
-//!   address-dependent gathers; packing is transposed at the memory
-//!   boundary only.
+//!   `W` `u64` words) where block `i` carries bit `i` of every lane (the
+//!   [`ssc_netlist::lanes`] layout). `W = 1` is the 64-lane engine; `W = 4`
+//!   ([`batch::WIDE_WORDS`]) is the 256-lane wide engine whose word-wise
+//!   kernels autovectorize to SIMD registers. [`BatchSim::new`] compiles the
+//!   netlist once into a tape of steps over one flat block arena, and
+//!   memories are bit-sliced as well (see [`batch`]).
 //!
 //! ## The width-generic block design
 //!
@@ -42,17 +37,15 @@
 //! 1. **Block layout** (`ssc_netlist::lanes`): a
 //!    [`Block<W>`](ssc_netlist::lanes::Block) is `[u64; W]` — lane `l`
 //!    lives in word `l / 64`, bit `l % 64`, so `Block<1>` is
-//!    layout-identical to the historical `u64` word and `W = 1` results
-//!    are bit-identical to the pre-width-generic engine by construction.
-//!    All kernels (ripple-carry add/sub/mul, borrow-chain compares,
-//!    mask-blend mux, per-lane dynamic shifts) are written against the
+//!    layout-identical to a plain `u64` word. All kernels (ripple-carry
+//!    add/sub/mul, borrow-chain compares, mask-blend mux, per-lane dynamic
+//!    shifts, address-grouped memory access) are written against the
 //!    block's word-wise bit operators, never against `u64` directly.
 //! 2. **Transpose boundary** (`pack_block`/`unpack_block`): converting
 //!    per-lane scalars to the bit-sliced layout decomposes into `W`
 //!    independent 64×64 transposes (lane group `k` lands in word `k` of
-//!    every block). Only stimulus injection, observation, and the memory
-//!    gather/scatter path cross this boundary; the evaluation loop never
-//!    does.
+//!    every block). Only stimulus injection and observation cross this
+//!    boundary; the evaluation loop and the memories never do.
 //! 3. **Width-parameterized front-ends**: `BatchSim<W>`, `BatchTrace<W>`,
 //!    and (downstream) `BatchSocSim<W>`/`BatchTaintSim<W>` and the batch
 //!    attack/IFT entry points are `const W: usize` generic with `W = 1`
@@ -72,9 +65,9 @@
 //! trials) — a batch walk costs a few scalar walks but carries `64·W`
 //! lanes, an order-of-magnitude throughput win. Every lane is
 //! bit-identical to a scalar run fed the same stimulus, at every width;
-//! the property tests in `ssc-aig/tests/proptest_equivalence.rs` and the
-//! attack-scenario cross-checks in `ssc-attacks` enforce this for both
-//! `W = 1` and `W = 4`.
+//! the property tests in `ssc-aig/tests/proptest_equivalence.rs`, the lane
+//! memory test in `ssc-sim/tests/lane_memory.rs` and the attack-scenario
+//! cross-checks in `ssc-attacks` enforce this for both `W = 1` and `W = 4`.
 //!
 //! # Example
 //!
@@ -100,12 +93,10 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod domain;
 mod engine;
 mod trace;
 
 pub use batch::{BatchSim, WIDE_WORDS};
-pub use engine::Engine;
 pub use trace::{BatchTrace, Trace};
 
 /// The 256-lane wide batch simulator (`u64x4` blocks — autovectorizes to
@@ -114,14 +105,14 @@ pub type WideBatchSim<'n> = BatchSim<'n, WIDE_WORDS>;
 
 use ssc_netlist::{Bv, MemId, Netlist, NetlistError, Node, Wire};
 
-use domain::ScalarDomain;
+use engine::Engine;
 
 /// A cycle-accurate simulator bound to a netlist.
 ///
 /// See the [crate documentation](self) for an example.
 #[derive(Clone)]
 pub struct Sim<'n> {
-    engine: Engine<'n, ScalarDomain>,
+    engine: Engine<'n>,
     trace: Trace,
 }
 
@@ -221,7 +212,7 @@ impl<'n> Sim<'n> {
         let m = self.engine.netlist().mem(mem);
         assert!(index < m.words, "word index {index} out of range for `{}`", m.name);
         assert_eq!(value.width(), m.width, "memory word width mismatch");
-        self.engine.mem_mut(mem).data[index as usize] = value;
+        self.engine.mem_mut(mem)[index as usize] = value;
     }
 
     /// Reads one memory word.
@@ -232,14 +223,14 @@ impl<'n> Sim<'n> {
     pub fn read_mem(&self, mem: MemId, index: u32) -> Bv {
         let m = self.engine.netlist().mem(mem);
         assert!(index < m.words, "word index {index} out of range for `{}`", m.name);
-        self.engine.mem(mem).data[index as usize]
+        self.engine.mem(mem)[index as usize]
     }
 
     /// The current value of a signal (evaluating combinational logic first
     /// if inputs changed since the last evaluation).
     pub fn peek(&mut self, wire: Wire) -> Bv {
         self.engine.eval();
-        *self.engine.value(wire.id())
+        self.engine.value(wire.id())
     }
 
     /// [`Sim::peek`] by hierarchical name.
@@ -312,7 +303,7 @@ impl<'n> Sim<'n> {
         }
         let cycle = self.engine.cycle();
         let probes: Vec<Wire> = self.trace.probe_wires().collect();
-        let vals: Vec<Bv> = probes.iter().map(|w| *self.engine.value(w.id())).collect();
+        let vals: Vec<Bv> = probes.iter().map(|w| self.engine.value(w.id())).collect();
         self.trace.record(cycle, &vals);
     }
 
